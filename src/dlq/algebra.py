@@ -2,7 +2,9 @@
 
 Computes the same certain-answer sets as the brute-force definition in
 :mod:`dlq.query`, but compositionally: patterns enumerate named objects
-through the reasoner, joins merge compatible mappings, UNION unions
+through the reasoner (which refutes most candidates against one model of
+the knowledge base per session, built at the first enumeration, and runs
+the tableau only on the rest), joins merge compatible mappings, UNION unions
 branch answers, MINUS filters left answers through the per-mapping truth
 condition of its right side, OPTIONAL keeps join answers that actually
 bound an optional-only variable plus all left answers.
@@ -62,26 +64,23 @@ def _eval_pattern(r: Reasoner, p: QueryPattern) -> frozenset[SolutionMapping]:
         entailed = r.entails_role(subject.iri, role, obj.iri)
         return frozenset([_EMPTY]) if entailed else frozenset()
     if isinstance(subject, IriElem):
-        var = obj.var
         return frozenset(
-            SolutionMapping.of({var: b}) for b in r.objects
-            if r.entails_role(subject.iri, role, b)
+            SolutionMapping.of({obj.var: b})
+            for _, b in r.named_role_pairs(role, subject=subject.iri)
         )
     if isinstance(obj, IriElem):
-        var = subject.var
         return frozenset(
-            SolutionMapping.of({var: a}) for a in r.objects
-            if r.entails_role(a, role, obj.iri)
+            SolutionMapping.of({subject.var: a})
+            for a, _ in r.named_role_pairs(role, obj=obj.iri)
         )
     if subject.var == obj.var:
         return frozenset(
             SolutionMapping.of({subject.var: a}) for a in r.objects
-            if r.entails_role(a, role, a)
+            if r.named_role_pairs(role, a, a)
         )
     return frozenset(
         SolutionMapping.of({subject.var: a, obj.var: b})
-        for a in r.objects for b in r.objects
-        if r.entails_role(a, role, b)
+        for a, b in r.named_role_pairs(role)
     )
 
 

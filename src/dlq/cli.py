@@ -310,8 +310,6 @@ def _cmd_lang(args) -> int:
 
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kb", required=True, help="knowledge base file (.kb)")
-    parser.add_argument("--mode", choices=["full", "tbox-only"], default="full",
-                        help="whether assertional data is used at check time")
     parser.add_argument("--output", choices=["text", "json"], default="text")
 
 
@@ -357,6 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for action in ("check", "run"):
         l = actions.add_parser(action)
         l.add_argument("program")
+        l.add_argument("--mode", choices=["full", "tbox-only"], default="full",
+                       help="whether assertional data is used at check time")
         _common(l)
 
     return parser

@@ -6,14 +6,25 @@ A :class:`Reasoner` is a session around one immutable knowledge base.  It
 memoises every answer, so repeated checks (the query evaluator asks the
 same instance/role questions over and over) cost one dictionary lookup.
 Sessions are single-caller; run independent sessions for parallel work.
+
+Enumeration (:meth:`Reasoner.named_instances`,
+:meth:`Reasoner.named_role_pairs`) refutes candidates against one model
+of the knowledge base per session: the clash-free graph of the
+consistency run, read off as an interpretation when the session first
+enumerates.  A candidate outside the concept's extension, or a pair
+missing from the role's extension, in that model is not entailed and
+costs no tableau run; only the survivors get a refutation run.  Once the
+session holds the model, point checks consult it too.  An inconsistent
+knowledge base has no model, so nothing is pruned; nor is a candidate, or
+a concept naming an object, that the model does not interpret.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
-from .interpretation import Interpretation, bounded_model_search, verify_model
+from .interpretation import Interpretation, bounded_model_search, extension, verify_model
 from .model import (
     And,
     Concept,
@@ -23,7 +34,7 @@ from .model import (
     Nominal,
     Not,
     Role,
-    signature,
+    concept_signature,
 )
 from .tableau import Tableau
 
@@ -59,19 +70,29 @@ class Reasoner:
         self._instance: dict[tuple[Iri, Concept], bool] = {}
         self._role: dict[tuple[Iri, Role, Iri], bool] = {}
         self._consistent: Optional[bool] = None
+        self._model: Optional[Interpretation] = None
 
     @classmethod
     def ensure(cls, kb: Union[KnowledgeBase, "Reasoner"]) -> "Reasoner":
         return kb if isinstance(kb, Reasoner) else cls(kb)
 
     @property
-    def objects(self) -> list[Iri]:
-        return sorted(signature(self.kb).objects, key=lambda i: i.value)
+    def objects(self) -> tuple[Iri, ...]:
+        """The knowledge base's named objects, sorted by IRI."""
+        return self._tableau.named
+
+    def _session_model(self) -> Optional[Interpretation]:
+        """The model read off the consistency run, built on first use;
+        None when the knowledge base is inconsistent."""
+        if self._consistent is None:
+            graph = self._tableau.run()
+            self._consistent = graph is not None
+            if graph is not None:
+                self._model = self._tableau.model_of(graph)
+        return self._model
 
     def is_consistent(self) -> bool:
-        if self._consistent is None:
-            self._consistent = self._tableau.run() is not None
-        return self._consistent
+        return self._session_model() is not None
 
     def is_satisfiable(self, c: Concept) -> SatResult:
         cached = self._sat.get(c)
@@ -87,10 +108,32 @@ class Reasoner:
     def entails_subsumption(self, c: Concept, d: Concept) -> bool:
         return not self.is_satisfiable(And(c, Not(d))).satisfiable
 
+    def _instance_candidates(self, c: Concept, objs: Iterable[Iri]) -> list[Iri]:
+        """The objects the held model does not refute as instances of ``c``."""
+        model = self._model
+        if model is None or not concept_signature(c).objects <= model.object_map.keys():
+            return list(objs)
+        ext = extension(c, model)
+        where = model.object_map
+        return [o for o in objs if o not in where or where[o] in ext]
+
+    def _role_candidates(self, role: Role,
+                         pairs: Iterable[tuple[Iri, Iri]]) -> list[tuple[Iri, Iri]]:
+        """The pairs the held model does not refute as edges of ``role``."""
+        model = self._model
+        if model is None:
+            return list(pairs)
+        edges = model.role_pairs(role)
+        where = model.object_map
+        return [(a, b) for a, b in pairs
+                if a not in where or b not in where or (where[a], where[b]) in edges]
+
     def entails_instance(self, obj: Iri, c: Concept) -> bool:
         key = (obj, c)
         cached = self._instance.get(key)
         if cached is None:
+            if not self._instance_candidates(c, (obj,)):
+                return False
             graph = self._tableau.run(extra_assertions=((obj, Not(c)),))
             cached = graph is None
             self._instance[key] = cached
@@ -100,6 +143,8 @@ class Reasoner:
         key = (subject, role, obj)
         cached = self._role.get(key)
         if cached is None:
+            if not self._role_candidates(role, ((subject, obj),)):
+                return False
             probe = Forall(role, Not(Nominal(obj)))
             graph = self._tableau.run(extra_assertions=((subject, probe),))
             cached = graph is None
@@ -107,7 +152,21 @@ class Reasoner:
         return cached
 
     def named_instances(self, c: Concept) -> frozenset[Iri]:
-        return frozenset(o for o in self.objects if self.entails_instance(o, c))
+        """The named objects provably belonging to ``c``."""
+        self._session_model()
+        return frozenset(o for o in self._instance_candidates(c, self.objects)
+                         if self.entails_instance(o, c))
+
+    def named_role_pairs(self, role: Role, subject: Optional[Iri] = None,
+                         obj: Optional[Iri] = None) -> frozenset[tuple[Iri, Iri]]:
+        """The entailed ``role`` edges between named objects, as (subject,
+        object) pairs; a given ``subject`` or ``obj`` fixes that end."""
+        self._session_model()
+        subjects = self.objects if subject is None else (subject,)
+        objs = self.objects if obj is None else (obj,)
+        pairs = ((a, b) for a in subjects for b in objs)
+        return frozenset((a, b) for a, b in self._role_candidates(role, pairs)
+                         if self.entails_role(a, role, b))
 
 
 def is_consistent(kb: KnowledgeBase) -> bool:

@@ -208,7 +208,8 @@ class Tableau:
         self.internalized: tuple[Concept, ...] = tuple(
             dict.fromkeys(nnf(Or(Not(g.sub), g.sup)) for g in kb.gcis())
         )
-        self.named = sorted(signature(kb).objects, key=lambda i: i.value)
+        self.named: tuple[Iri, ...] = tuple(
+            sorted(signature(kb).objects, key=lambda i: i.value))
 
     def _initial_graph(
         self,

@@ -340,3 +340,11 @@ def random_query(rng: random.Random, limits: GenLimits = GenLimits()) -> Query:
         if _sharing_is_guarded(q):
             return q
     return pattern()
+
+
+def generated_instances(count: int) -> list[tuple[KnowledgeBase, Query]]:
+    """The seeded (knowledge base, query) pairs of the acceptance criteria."""
+    # Assertion-rich bases so a healthy share of queries return bindings.
+    rng = random.Random(20240)
+    limits = GenLimits(axioms=8)
+    return [(random_kb(rng, limits), random_query(rng)) for _ in range(count)]

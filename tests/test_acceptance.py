@@ -25,7 +25,7 @@ from dlq.interpretation import bounded_model_search, extension, verify_model
 from dlq.model import And, Atomic, Not, Role
 from dlq.query import Var, denotational_eval, parse_query
 from dlq.reasoner import Reasoner
-from support import GenLimits, _random_simple_concept, iri, random_kb, random_query
+from support import _random_simple_concept, generated_instances, iri, random_kb
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 KB = str(FIXTURES / "university.kb")
@@ -115,15 +115,8 @@ def test_criterion_4_ported_program(capsys):
         assert out[-1] == "[:rg1]"
 
 
-def _generated_instances(count: int):
-    # Assertion-rich bases so a healthy share of queries return bindings.
-    rng = random.Random(20240)
-    limits = GenLimits(axioms=8)
-    return [(random_kb(rng, limits), random_query(rng)) for _ in range(count)]
-
-
 def test_criterion_5_oracle_equivalence():
-    instances = _generated_instances(200)
+    instances = generated_instances(200)
     with criterion(5, "bottom-up evaluation equals the brute-force oracle, "
                       "200 random instances", 120.0):
         for kb, q in instances:
@@ -132,7 +125,7 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_inference_soundness():
-    instances = _generated_instances(200)
+    instances = generated_instances(200)
     with criterion(6, "every returned binding inhabits its inferred concept, "
                       "200 random instances", 120.0):
         for kb, q in instances:

@@ -54,6 +54,16 @@ class TestReason:
         assert code == 0
         assert json.loads(out) == {"result": True}
 
+    @pytest.mark.parametrize("argv", [
+        ["reason", "sub", ":Chair", ":Person"],
+        ["query", "run", "SELECT ?x WHERE { ?x a :Person }"],
+    ])
+    def test_mode_flag_is_a_usage_error_outside_lang(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--kb", KB, "--mode", "tbox-only"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
     def test_concept_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "reason", "sat", ":Person and", "--kb", KB)
         assert code == 2
