@@ -26,19 +26,9 @@ from .model import (
     Top,
     nnf,
     signature,
-    structurally_equal,
 )
 from .kbtext import ParseError, parse_concept, parse_kb, print_concept, print_kb
 from .interpretation import Interpretation, bounded_model_search, verify_model
-from .reasoner import (
-    Reasoner,
-    SatResult,
-    entails_instance,
-    entails_role,
-    entails_subsumption,
-    is_consistent,
-    is_satisfiable,
-    named_instances,
-)
+from .reasoner import Reasoner, SatResult
 
 __version__ = "0.1.0"

@@ -8,6 +8,9 @@ the tableau only on the rest), joins merge compatible mappings, UNION unions
 branch answers, MINUS filters left answers through the per-mapping truth
 condition of its right side, OPTIONAL keeps join answers that actually
 bound an optional-only variable plus all left answers.
+:func:`eval_algebraic` takes the caller's :class:`~dlq.reasoner.Reasoner`
+session, so its memo and its model serve every pattern of the query and
+every later query on that session.
 
 Projection produces a deterministic table: one row per distinct projected
 binding, rows ordered lexicographically by cell text with absent cells
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import Iri, KnowledgeBase
+from .model import Iri
 from .query import (
     ConceptPattern,
     IriElem,
@@ -96,26 +99,21 @@ def _merge_all(
     return frozenset(out)
 
 
-def eval_algebraic(kb: KnowledgeBase | Reasoner, q: Query) -> frozenset[SolutionMapping]:
+def eval_algebraic(r: Reasoner, q: Query) -> frozenset[SolutionMapping]:
     """Certain answers of ``q``, equal to ``denotational_eval`` on every query."""
-    r = Reasoner.ensure(kb)
-    return _eval(r, q)
-
-
-def _eval(r: Reasoner, q: Query) -> frozenset[SolutionMapping]:
     if isinstance(q, Pattern):
         return _eval_pattern(r, q.pattern)
     if isinstance(q, Join):
-        return _merge_all(_eval(r, q.left), _eval(r, q.right))
+        return _merge_all(eval_algebraic(r, q.left), eval_algebraic(r, q.right))
     if isinstance(q, Union):
-        return _eval(r, q.left) | _eval(r, q.right)
+        return eval_algebraic(r, q.left) | eval_algebraic(r, q.right)
     if isinstance(q, Minus):
         return frozenset(
-            mu for mu in _eval(r, q.left) if not satisfies(r, q.right, mu)
+            mu for mu in eval_algebraic(r, q.left) if not satisfies(r, q.right, mu)
         )
     if isinstance(q, Optional):
-        left = _eval(r, q.left)
-        joined = _merge_all(left, _eval(r, q.right))
+        left = eval_algebraic(r, q.left)
+        joined = _merge_all(left, eval_algebraic(r, q.right))
         private = query_vars(q.right) - query_vars(q.left)
         return frozenset(mu for mu in joined if mu.domain & private) | left
     raise TypeError(f"not a query: {q!r}")

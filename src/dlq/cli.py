@@ -207,30 +207,18 @@ def _cmd_query(args) -> int:
         outcome = validate_query(r, sq, splice_types, mode)
         if not isinstance(outcome, Valid):
             return _validation_failure(outcome, p)
-        lines = []
-        splice_var_names = {v.name for v in outcome.splice_vars.values()}
-        for var in sorted(outcome.variable_concepts, key=lambda v: v.name):
-            if var.name in splice_var_names:
-                continue
-            lines.append(f"?{var.name}: "
-                         f"{print_concept(outcome.variable_concepts[var], p)}")
-        for splice in sq.splices:
-            lines.append(f"${splice}: {print_concept(outcome.splice_concepts[splice], p)}")
+        splice_vars = set(outcome.splice_vars.values())
+        variables = {
+            v.name: print_concept(c, p)
+            for v, c in sorted(outcome.variable_concepts.items(), key=lambda kv: kv[0].name)
+            if v not in splice_vars
+        }
+        splices = {s: print_concept(outcome.splice_concepts[s], p) for s in sq.splices}
         if args.output == "json":
-            print(json.dumps({
-                "variables": {
-                    v.name: print_concept(c, p)
-                    for v, c in sorted(outcome.variable_concepts.items(),
-                                       key=lambda kv: kv[0].name)
-                    if v.name not in splice_var_names
-                },
-                "splices": {
-                    s: print_concept(outcome.splice_concepts[s], p)
-                    for s in sq.splices
-                },
-            }))
+            print(json.dumps({"variables": variables, "splices": splices}))
         else:
-            print("\n".join(lines))
+            print("\n".join([f"?{v}: {c}" for v, c in variables.items()]
+                            + [f"${s}: {c}" for s, c in splices.items()]))
         return 0
 
     # run: spliced values are IRIs; they validate at their nominal types.

@@ -26,7 +26,6 @@ from .model import (
     Concept,
     Exists,
     Forall,
-    KnowledgeBase,
     Nominal,
     Not,
     Or,
@@ -255,7 +254,7 @@ def fresh_splice_vars(sq: SelectQuery) -> dict[str, Var]:
 
 
 def validate_query(
-    kb: KnowledgeBase | Reasoner,
+    r: Reasoner,
     sq: SelectQuery,
     splice_types: Mapping[str, Concept],
     mode: str,
@@ -272,7 +271,6 @@ def validate_query(
     missing = [s for s in sq.splices if s not in splice_types]
     if missing:
         raise ValueError(f"no declared type for splice(s): {', '.join(missing)}")
-    r = Reasoner.ensure(kb)
 
     fresh = fresh_splice_vars(sq)
     body = substitute_splices(sq.body, {s: VarElem(v) for s, v in fresh.items()})
@@ -315,7 +313,7 @@ def validate_query(
 
 
 def type_role_projection(
-    kb: KnowledgeBase | Reasoner, subject_type: Concept, role: Role
+    r: Reasoner, subject_type: Concept, role: Role
 ) -> TUnion[Concept, Unsatisfiable, SpliceMismatch]:
     """The result concept of projecting ``role`` from a subject of the given
     type: strict validation of the one-pattern query (subject, ?x) : role.
@@ -325,7 +323,7 @@ def type_role_projection(
     out_var = Var("x")
     body = Pattern(RolePattern(SpliceElem("subject"), role, VarElem(out_var)))
     sq = SelectQuery.build((out_var,), body)
-    outcome = validate_query(kb, sq, {"subject": subject_type}, "strict")
+    outcome = validate_query(r, sq, {"subject": subject_type}, "strict")
     if isinstance(outcome, Valid):
         return outcome.variable_concepts[out_var]
     assert isinstance(outcome, (Unsatisfiable, SpliceMismatch))

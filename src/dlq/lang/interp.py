@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..algebra import eval_algebraic, project
-from ..model import KnowledgeBase
 from ..query import IriElem, Pattern, RolePattern, SelectQuery, Var, VarElem, \
     substitute_splices
 from ..reasoner import Reasoner
@@ -53,8 +52,8 @@ class EvalError(Exception):
 
 
 class _Interp:
-    def __init__(self, kb: KnowledgeBase | Reasoner, program: Program) -> None:
-        self.r = Reasoner.ensure(kb)
+    def __init__(self, r: Reasoner, program: Program) -> None:
+        self.r = r
         self.program = program
 
     def run(self) -> Value:
@@ -134,7 +133,7 @@ class _Interp:
         raise TypeError(f"not a term: {t!r}")
 
 
-def evaluate(kb: KnowledgeBase | Reasoner, program: Program) -> Value:
+def evaluate(r: Reasoner, program: Program) -> Value:
     """Evaluate a program's main expression.  The program must have been
     type-checked; shape assumptions are asserted, not re-verified."""
-    return _Interp(kb, program).run()
+    return _Interp(r, program).run()

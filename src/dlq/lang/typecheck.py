@@ -27,7 +27,7 @@ from ..inference import (
     validate_query,
 )
 from ..kbtext import print_concept, print_role
-from ..model import Concept, KnowledgeBase, Nominal, Or, TOP
+from ..model import Concept, Nominal, Or, TOP
 from ..reasoner import Reasoner
 from .syntax import (
     BOOL,
@@ -79,9 +79,8 @@ def type_name(t: LangType, prefixes: Mapping[str, str] | None = None) -> str:
     return "Bool"
 
 
-def subtype(kb: KnowledgeBase | Reasoner, t1: LangType, t2: LangType) -> bool:
+def subtype(r: Reasoner, t1: LangType, t2: LangType) -> bool:
     """Structural subtyping with reasoner-backed concept subsumption."""
-    r = Reasoner.ensure(kb)
     if isinstance(t1, ConceptType) and isinstance(t2, ConceptType):
         return r.entails_subsumption(t1.concept, t2.concept)
     if isinstance(t1, ListType) and isinstance(t2, ListType):
@@ -93,8 +92,7 @@ def subtype(kb: KnowledgeBase | Reasoner, t1: LangType, t2: LangType) -> bool:
     return isinstance(t1, BoolType) and isinstance(t2, BoolType)
 
 
-def lub(kb: KnowledgeBase | Reasoner, t1: LangType, t2: LangType,
-        pos: Pos = (0, 0)) -> LangType:
+def lub(t1: LangType, t2: LangType, pos: Pos = (0, 0)) -> LangType:
     """Least upper bound: concept types take their (syntactic) union,
     lists and tuples recurse; incompatible shapes are a type error."""
     if isinstance(t1, ConceptType) and isinstance(t2, ConceptType):
@@ -102,11 +100,11 @@ def lub(kb: KnowledgeBase | Reasoner, t1: LangType, t2: LangType,
             return t1
         return ConceptType(Or(t1.concept, t2.concept))
     if isinstance(t1, ListType) and isinstance(t2, ListType):
-        return ListType(lub(kb, t1.elem, t2.elem, pos))
+        return ListType(lub(t1.elem, t2.elem, pos))
     if isinstance(t1, TupleType) and isinstance(t2, TupleType) \
             and len(t1.items) == len(t2.items):
         return TupleType(tuple(
-            lub(kb, a, b, pos) for a, b in zip(t1.items, t2.items)
+            lub(a, b, pos) for a, b in zip(t1.items, t2.items)
         ))
     if isinstance(t1, BoolType) and isinstance(t2, BoolType):
         return BOOL
@@ -116,8 +114,8 @@ def lub(kb: KnowledgeBase | Reasoner, t1: LangType, t2: LangType,
 
 
 class _Checker:
-    def __init__(self, kb: KnowledgeBase | Reasoner, program: Program, mode: str) -> None:
-        self.r = Reasoner.ensure(kb)
+    def __init__(self, r: Reasoner, program: Program, mode: str) -> None:
+        self.r = r
         self.program = program
         self.mode = mode
         self.types: dict[Term, LangType] = {}
@@ -236,10 +234,10 @@ class _Checker:
                 branch_env[case.binder] = ConceptType(case.concept)
                 branch_type = self.infer(case.body, branch_env)
                 result = branch_type if result is None \
-                    else lub(self.r, result, branch_type, t.pos)
+                    else lub(result, branch_type, t.pos)
             default_type = self.infer(t.default, env)
             return default_type if result is None \
-                else lub(self.r, result, default_type, t.pos)
+                else lub(result, default_type, t.pos)
 
         if isinstance(t, If):
             cond = self.infer(t.cond, env)
@@ -247,7 +245,7 @@ class _Checker:
                 raise LangTypeError(
                     "E-SUB", t.cond.pos,
                     f"condition must be Bool, got {type_name(cond, self.p)}")
-            return lub(self.r, self.infer(t.then, env), self.infer(t.orelse, env), t.pos)
+            return lub(self.infer(t.then, env), self.infer(t.orelse, env), t.pos)
 
         if isinstance(t, Let):
             value_type = self.infer(t.value, env)
@@ -301,9 +299,7 @@ def type_role_projection_checked(
         f"`{print_concept(subject, prefixes)}`")
 
 
-def typecheck(
-    kb: KnowledgeBase | Reasoner, program: Program, mode: str = FULL
-) -> dict[Term, LangType]:
+def typecheck(r: Reasoner, program: Program, mode: str = FULL) -> dict[Term, LangType]:
     """Check every definition and main; returns the per-term type table.
 
     ``mode`` is "full" (assertional data available, IRI literals get
@@ -311,4 +307,4 @@ def typecheck(
     unless ascribed, ascriptions are trusted)."""
     if mode not in (FULL, TBOX_ONLY):
         raise ValueError(f"unknown mode {mode!r}")
-    return _Checker(kb, program, mode).run()
+    return _Checker(r, program, mode).run()

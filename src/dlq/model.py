@@ -289,8 +289,3 @@ def nnf(c: Concept) -> Concept:
 def negated(c: Concept) -> Concept:
     """nnf(¬c), the form used for clash detection and refutation probes."""
     return nnf(Not(c))
-
-
-def structurally_equal(c1: Concept, c2: Concept) -> bool:
-    """Tree identity: no commutativity or associativity normalisation."""
-    return c1 == c2

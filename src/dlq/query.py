@@ -30,15 +30,15 @@ from typing import Iterator, Mapping, Union as TUnion
 
 from .kbtext import read_concept, expand_name
 from .lexing import ParseError, TokenStream, tokenize
-from .model import Atomic, Concept, Iri, KnowledgeBase, Role
+from .model import Atomic, Concept, Iri, Role
 from .reasoner import Reasoner
 
 __all__ = [
     "Var", "VarElem", "IriElem", "SpliceElem", "PatternElem",
     "ConceptPattern", "RolePattern", "QueryPattern",
     "Pattern", "Join", "Union", "Minus", "Optional", "Query",
-    "SelectQuery", "SolutionMapping", "SolutionSet",
-    "query_vars", "splice_terms", "substitute_splices",
+    "SelectQuery", "SolutionMapping",
+    "query_vars", "substitute_splices",
     "parse_query", "satisfies", "solves", "all_partial_mappings",
     "denotational_eval",
 ]
@@ -166,7 +166,8 @@ def substitute_splices(q: Query, values: Mapping[str, PatternElem]) -> Query:
 
 @dataclass(frozen=True)
 class SelectQuery:
-    """A query body plus projection list and the splices it mentions."""
+    """A query body plus projection list and the splices it mentions (ids
+    in first-occurrence order, one entry per id)."""
 
     select_vars: tuple[Var, ...]
     body: Query
@@ -175,11 +176,6 @@ class SelectQuery:
     @classmethod
     def build(cls, select_vars: tuple[Var, ...], body: Query) -> "SelectQuery":
         return cls(select_vars, body, tuple(dict.fromkeys(_splices_in(body))))
-
-
-def splice_terms(sq: SelectQuery) -> tuple[str, ...]:
-    """Splice ids in first-occurrence order, one entry per id."""
-    return sq.splices
 
 
 # --- solution mappings ------------------------------------------------------
@@ -205,22 +201,13 @@ class SolutionMapping:
     def domain(self) -> frozenset[Var]:
         return frozenset(v for v, _ in self.bindings)
 
-    def as_dict(self) -> dict[Var, Iri]:
-        return dict(self.bindings)
-
-    def restrict(self, to: frozenset[Var]) -> "SolutionMapping":
-        return SolutionMapping(tuple((v, o) for v, o in self.bindings if v in to))
-
     def merge(self, other: "SolutionMapping") -> "SolutionMapping | None":
         """Union of two mappings, or None when they disagree on a variable."""
-        combined = self.as_dict()
+        combined = dict(self.bindings)
         for v, o in other.bindings:
             if combined.setdefault(v, o) != o:
                 return None
         return SolutionMapping.of(combined)
-
-
-SolutionSet = frozenset
 
 
 # --- surface parser ---------------------------------------------------------
@@ -438,11 +425,10 @@ def all_partial_mappings(variables: frozenset[Var], objects: list[Iri]) -> Itera
     return rec(0, {})
 
 
-def denotational_eval(kb: KnowledgeBase | Reasoner, q: Query) -> frozenset[SolutionMapping]:
+def denotational_eval(r: Reasoner, q: Query) -> frozenset[SolutionMapping]:
     """Brute-force certain answers: test every candidate mapping over the
     query's variables against :func:`solves`.  The oracle for the
     algebraic evaluator."""
-    r = Reasoner.ensure(kb)
     return frozenset(
         mu for mu in all_partial_mappings(query_vars(q), r.objects)
         if solves(r, q, mu)

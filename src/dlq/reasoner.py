@@ -6,6 +6,10 @@ A :class:`Reasoner` is a session around one immutable knowledge base.  It
 memoises every answer, so repeated checks (the query evaluator asks the
 same instance/role questions over and over) cost one dictionary lookup.
 Sessions are single-caller; run independent sessions for parallel work.
+The session is the only way in: query evaluation, query typing and the
+expression language all take a :class:`Reasoner`, so one memo serves a
+whole command, and there are no module-level shortcuts over a bare
+knowledge base.
 
 Enumeration (:meth:`Reasoner.named_instances`,
 :meth:`Reasoner.named_role_pairs`) refutes candidates against one model
@@ -22,9 +26,9 @@ a concept naming an object, that the model does not interpret.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-from .interpretation import Interpretation, bounded_model_search, extension, verify_model
+from .interpretation import Interpretation, extension
 from .model import (
     And,
     Concept,
@@ -38,18 +42,7 @@ from .model import (
 )
 from .tableau import Tableau
 
-__all__ = [
-    "SatResult",
-    "Reasoner",
-    "is_consistent",
-    "is_satisfiable",
-    "entails_subsumption",
-    "entails_instance",
-    "entails_role",
-    "named_instances",
-    "bounded_model_search",
-    "verify_model",
-]
+__all__ = ["SatResult", "Reasoner"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +65,6 @@ class Reasoner:
         self._consistent: Optional[bool] = None
         self._model: Optional[Interpretation] = None
 
-    @classmethod
-    def ensure(cls, kb: Union[KnowledgeBase, "Reasoner"]) -> "Reasoner":
-        return kb if isinstance(kb, Reasoner) else cls(kb)
-
     @property
     def objects(self) -> tuple[Iri, ...]:
         """The knowledge base's named objects, sorted by IRI."""
@@ -92,9 +81,11 @@ class Reasoner:
         return self._model
 
     def is_consistent(self) -> bool:
+        """True iff the knowledge base has at least one model."""
         return self._session_model() is not None
 
     def is_satisfiable(self, c: Concept) -> SatResult:
+        """Satisfiability of ``c``, with a model witness when satisfiable."""
         cached = self._sat.get(c)
         if cached is None:
             graph = self._tableau.run(probe=c)
@@ -106,6 +97,7 @@ class Reasoner:
         return cached
 
     def entails_subsumption(self, c: Concept, d: Concept) -> bool:
+        """True iff every model makes ext(c) a subset of ext(d)."""
         return not self.is_satisfiable(And(c, Not(d))).satisfiable
 
     def _instance_candidates(self, c: Concept, objs: Iterable[Iri]) -> list[Iri]:
@@ -129,6 +121,7 @@ class Reasoner:
                 if a not in where or b not in where or (where[a], where[b]) in edges]
 
     def entails_instance(self, obj: Iri, c: Concept) -> bool:
+        """True iff the knowledge base entails that ``obj`` belongs to ``c``."""
         key = (obj, c)
         cached = self._instance.get(key)
         if cached is None:
@@ -140,6 +133,7 @@ class Reasoner:
         return cached
 
     def entails_role(self, subject: Iri, role: Role, obj: Iri) -> bool:
+        """True iff the knowledge base entails the ``role`` edge (subject, obj)."""
         key = (subject, role, obj)
         cached = self._role.get(key)
         if cached is None:
@@ -167,33 +161,3 @@ class Reasoner:
         pairs = ((a, b) for a in subjects for b in objs)
         return frozenset((a, b) for a, b in self._role_candidates(role, pairs)
                          if self.entails_role(a, role, b))
-
-
-def is_consistent(kb: KnowledgeBase) -> bool:
-    """True iff ``kb`` has at least one model."""
-    return Reasoner.ensure(kb).is_consistent()
-
-
-def is_satisfiable(kb: Union[KnowledgeBase, Reasoner], c: Concept) -> SatResult:
-    """Satisfiability of ``c`` w.r.t. ``kb``, with a verified-model witness."""
-    return Reasoner.ensure(kb).is_satisfiable(c)
-
-
-def entails_subsumption(kb: Union[KnowledgeBase, Reasoner], c: Concept, d: Concept) -> bool:
-    """True iff every model of ``kb`` makes ext(c) a subset of ext(d)."""
-    return Reasoner.ensure(kb).entails_subsumption(c, d)
-
-
-def entails_instance(kb: Union[KnowledgeBase, Reasoner], obj: Iri, c: Concept) -> bool:
-    """True iff ``kb`` entails that ``obj`` belongs to ``c``."""
-    return Reasoner.ensure(kb).entails_instance(obj, c)
-
-
-def entails_role(kb: Union[KnowledgeBase, Reasoner], subject: Iri, role: Role, obj: Iri) -> bool:
-    """True iff ``kb`` entails the role edge (subject, obj)."""
-    return Reasoner.ensure(kb).entails_role(subject, role, obj)
-
-
-def named_instances(kb: Union[KnowledgeBase, Reasoner], c: Concept) -> frozenset[Iri]:
-    """The named objects provably belonging to ``c``."""
-    return Reasoner.ensure(kb).named_instances(c)

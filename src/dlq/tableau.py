@@ -47,6 +47,7 @@ from .model import (
     Or,
     Role,
     RoleAssertion,
+    concept_signature,
     negated,
     nnf,
     signature,
@@ -70,8 +71,7 @@ class _Graph:
     every iteration order below is deterministic without sorting.
     """
 
-    __slots__ = ("labels", "parent", "out", "inc", "pruned", "merged_into",
-                 "clashed", "next_id")
+    __slots__ = ("labels", "parent", "out", "inc", "pruned", "clashed", "next_id")
 
     def __init__(self) -> None:
         self.labels: dict[int, dict[Concept, None]] = {}
@@ -79,7 +79,6 @@ class _Graph:
         self.out: dict[int, dict[int, set[Iri]]] = {}
         self.inc: dict[int, dict[int, set[Iri]]] = {}
         self.pruned: set[int] = set()
-        self.merged_into: dict[int, int] = {}
         self.clashed = False
         self.next_id = 0
 
@@ -90,7 +89,6 @@ class _Graph:
         g.out = {n: {d: set(r) for d, r in adj.items()} for n, adj in self.out.items()}
         g.inc = {n: {d: set(r) for d, r in adj.items()} for n, adj in self.inc.items()}
         g.pruned = set(self.pruned)
-        g.merged_into = dict(self.merged_into)
         g.clashed = self.clashed
         g.next_id = self.next_id
         return g
@@ -108,11 +106,6 @@ class _Graph:
 
     def alive(self) -> list[int]:
         return [n for n in self.labels if n not in self.pruned]
-
-    def resolve(self, node: int) -> int:
-        while node in self.merged_into:
-            node = self.merged_into[node]
-        return node
 
     def add(self, node: int, c: Concept) -> bool:
         """Add a concept to a label; returns False if already present.
@@ -169,7 +162,6 @@ class _Graph:
             if par == source:
                 self.parent[node] = target
         self.pruned.add(source)
-        self.merged_into[source] = target
 
     def blocking(self) -> tuple[dict[int, int], set[int]]:
         """(directly-blocked -> blocker, all blocked nodes), by ascending id;
@@ -221,6 +213,11 @@ class Tableau:
         for obj, _ in extra_assertions:
             if obj not in named:
                 named.append(obj)
+        # An object a nominal names denotes something even when the KB
+        # never mentions it, so it gets a node of its own.
+        concepts = [c for _, c in extra_assertions] + ([probe] if probe is not None else [])
+        mentioned = {o for c in concepts for o in concept_signature(c).objects}
+        named += sorted(mentioned.difference(named), key=lambda i: i.value)
         node_of = {
             obj: graph.new_node(None, (Nominal(obj),) + self.internalized)
             for obj in named

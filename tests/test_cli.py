@@ -144,6 +144,17 @@ class TestQuery:
         assert code == 1
         assert err.startswith("ERROR E-SUB")
 
+    def test_type_json_with_splice(self, capsys):
+        # The splice's fresh variable is reported under "splices" only.
+        query = "SELECT ?t WHERE { $t :worksFor ?t . ?t a :ResearchGroup }"
+        code, out, _ = run(capsys, "query", "type", query, "--kb", KB,
+                           "--splice", "t=:Employee", "--output", "json")
+        assert code == 0
+        assert out == (
+            '{"variables": {"t": "inv(:worksFor) some :worksFor some Thing and '
+            ':ResearchGroup"}, "splices": {"t": ":worksFor some (inv(:worksFor) '
+            'some Thing and :ResearchGroup)"}}\n')
+
     def test_run_with_splice_value(self, capsys):
         query = "SELECT ?rg WHERE { ?rg a :ResearchGroup . ?rg :subOrganizationOf $org }"
         code, out, _ = run(capsys, "query", "run", query, "--kb", KB_EXT,

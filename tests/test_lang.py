@@ -105,18 +105,17 @@ class TestSubtype:
 
 
 class TestLub:
-    def test_concepts_take_union(self, university, uc):
-        got = lub(university, ConceptType(uc(":Professor")),
-                  ConceptType(uc(":ResearchAssistant")))
+    def test_concepts_take_union(self, uc):
+        got = lub(ConceptType(uc(":Professor")), ConceptType(uc(":ResearchAssistant")))
         assert got == ConceptType(Or(uc(":Professor"), uc(":ResearchAssistant")))
 
-    def test_identical_types_unchanged(self, university, uc):
+    def test_identical_types_unchanged(self, uc):
         t = ListType(ConceptType(uc(":Person")))
-        assert lub(university, t, t) == t
+        assert lub(t, t) == t
 
-    def test_shape_mismatch_is_an_error(self, university, uc):
+    def test_shape_mismatch_is_an_error(self, uc):
         with pytest.raises(LangTypeError):
-            lub(university, BOOL, ConceptType(uc(":Person")))
+            lub(BOOL, ConceptType(uc(":Person")))
 
 
 class TestTypecheck:

@@ -24,7 +24,6 @@ from dlq.model import (
     TOP,
     nnf,
     signature,
-    structurally_equal,
 )
 from support import (
     concept_strategy,
@@ -87,7 +86,7 @@ class TestNnf:
     @given(concept_strategy(with_nominals=True))
     def test_idempotent(self, c):
         once = nnf(c)
-        assert structurally_equal(nnf(once), once)
+        assert nnf(once) == once
 
     @settings(max_examples=40, deadline=None)
     @given(concept_strategy())
@@ -97,13 +96,13 @@ class TestNnf:
 
 class TestStructuralEquality:
     def test_identical_trees(self):
-        assert structurally_equal(And(A, B), And(A, B))
+        assert And(A, B) == And(A, B)
 
     def test_no_commutativity(self):
-        assert not structurally_equal(And(A, B), And(B, A))
+        assert And(A, B) != And(B, A)
 
     def test_double_negation_eliminated_by_nnf(self):
-        assert structurally_equal(nnf(Not(Not(A))), A)
+        assert nnf(Not(Not(A))) == A
 
 
 class TestSignature:

@@ -10,12 +10,14 @@ from dlq.model import (
     ConceptAssertion,
     Iri,
     KnowledgeBase,
+    Nominal,
     Not,
     Role,
     SubClass,
     TOP,
+    concept_signature,
 )
-from dlq.reasoner import Reasoner, entails_role, is_consistent, is_satisfiable
+from dlq.reasoner import Reasoner
 from support import iri, random_kb, _random_simple_concept
 
 
@@ -25,18 +27,17 @@ class TestConsistency:
 
     def test_organization_typed_as_person_is_inconsistent(self, university_kb, uobj, uc):
         grown = university_kb.extended(ConceptAssertion(uobj("softlang"), uc(":Person")))
-        assert not is_consistent(grown)
+        assert not Reasoner(grown).is_consistent()
 
     def test_empty_kb_is_consistent(self):
-        assert is_consistent(KnowledgeBase())
+        assert Reasoner(KnowledgeBase()).is_consistent()
 
     def test_top_subsumed_by_bottom_is_inconsistent(self):
-        assert not is_consistent(KnowledgeBase(tbox=(SubClass(TOP, BOTTOM),)))
+        assert not Reasoner(KnowledgeBase(tbox=(SubClass(TOP, BOTTOM),))).is_consistent()
 
     def test_nominal_in_tbox_constrains_its_object(self):
-        from dlq.model import Nominal
         kb = KnowledgeBase(tbox=(SubClass(Nominal(iri("o")), BOTTOM),))
-        assert not is_consistent(kb)
+        assert not Reasoner(kb).is_consistent()
 
 
 class TestSatisfiability:
@@ -61,6 +62,14 @@ class TestSatisfiability:
 
     def test_unsatisfiable_has_no_witness(self, university, uc):
         assert university.is_satisfiable(uc(":Person and :Organization")).witness is None
+
+    def test_nominal_outside_the_signature_denotes_an_object(self):
+        # Thing SubClassOf {:o1}: every model has one element, so :zed is :o1.
+        kb = KnowledgeBase(tbox=(SubClass(TOP, Nominal(iri("o1"))),))
+        r = Reasoner(kb)
+        assert bounded_model_search(kb, Not(Nominal(iri("zed"))), 3) is None
+        assert not r.is_satisfiable(Not(Nominal(iri("zed")))).satisfiable
+        assert r.entails_instance(iri("o1"), Nominal(iri("zed")))
 
 
 class TestSubsumption:
@@ -120,7 +129,7 @@ class TestRoles:
     def test_empty_kb_entails_no_edges(self):
         kb = KnowledgeBase(abox=(ConceptAssertion(iri("a"), TOP),
                                  ConceptAssertion(iri("b"), TOP)))
-        assert not entails_role(kb, iri("a"), Role(iri("r")), iri("b"))
+        assert not Reasoner(kb).entails_role(iri("a"), Role(iri("r")), iri("b"))
 
     def test_inverse_direction(self, university, uobj, urole):
         assert university.entails_role(uobj("softlang"),
@@ -193,6 +202,26 @@ class TestProperties:
                 assert verify_model(result.witness, kb)
                 assert extension(concept, result.witness)
         assert satisfiable_seen > 50
+
+    def test_witnesses_interpret_nominals_outside_the_signature(self):
+        # {:zed} names no object of any generated KB; a witness must still
+        # give it an element, wherever the probe mentions it.
+        rng = random.Random(29)
+        atoms = [Atomic(iri(n)) for n in "ABC"] + [Nominal(iri("zed"))]
+        roles = [Role(iri("r")), Role(iri("s"))]
+        satisfiable_seen = 0
+        for _ in range(100):
+            kb = random_kb(rng)
+            concept = _random_simple_concept(rng, atoms, roles, 2)
+            if iri("zed") not in concept_signature(concept).objects:
+                continue
+            result = Reasoner(kb).is_satisfiable(concept)
+            if result.satisfiable:
+                satisfiable_seen += 1
+                assert iri("zed") in result.witness.object_map
+                assert verify_model(result.witness, kb)
+                assert extension(concept, result.witness)
+        assert satisfiable_seen > 25
 
     def test_bounded_model_implies_tableau_satisfiable(self):
         rng = random.Random(13)
