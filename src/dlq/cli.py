@@ -196,14 +196,16 @@ def _cmd_query(args) -> int:
     mode = "strict" if args.strict else "nonstrict"
     pairs = _splice_pairs(args.splice or [])
     given = dict(pairs)
-    missing = [s for s in sq.splices if s not in given]
-    if missing:
-        raise ParseError(1, 1, "missing --splice for: "
-                         + ", ".join(f"${s}" for s in missing))
+    names = [name for name, _ in pairs]
+    for problem, bad in (("missing", [s for s in sq.splices if s not in given]),
+                         ("unknown", [s for s in given if s not in sq.splices]),
+                         ("repeated", [s for s in given if names.count(s) > 1])):
+        if bad:
+            raise ParseError(1, 1, f"{problem} --splice for: "
+                             + ", ".join(f"${s}" for s in bad))
 
     if args.action == "type":
-        splice_types = {name: parse_concept(text, p) for name, text in pairs
-                        if name in sq.splices}
+        splice_types = {name: parse_concept(text, p) for name, text in given.items()}
         outcome = validate_query(r, sq, splice_types, mode)
         if not isinstance(outcome, Valid):
             return _validation_failure(outcome, p)
@@ -222,8 +224,7 @@ def _cmd_query(args) -> int:
         return 0
 
     # run: spliced values are IRIs; they validate at their nominal types.
-    values = {name: _parse_name(text, p) for name, text in pairs
-              if name in sq.splices}
+    values = {name: _parse_name(text, p) for name, text in given.items()}
     splice_types = {name: Nominal(iri) for name, iri in values.items()}
     outcome = validate_query(r, sq, splice_types, mode)
     if not isinstance(outcome, Valid):

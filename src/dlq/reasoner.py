@@ -11,16 +11,18 @@ expression language all take a :class:`Reasoner`, so one memo serves a
 whole command, and there are no module-level shortcuts over a bare
 knowledge base.
 
-Enumeration (:meth:`Reasoner.named_instances`,
-:meth:`Reasoner.named_role_pairs`) refutes candidates against one model
-of the knowledge base per session: the clash-free graph of the
-consistency run, read off as an interpretation when the session first
-enumerates.  A candidate outside the concept's extension, or a pair
-missing from the role's extension, in that model is not entailed and
-costs no tableau run; only the survivors get a refutation run.  Once the
-session holds the model, point checks consult it too.  An inconsistent
-knowledge base has no model, so nothing is pruned; nor is a candidate, or
-a concept naming an object, that the model does not interpret.
+Role entailment is instance entailment: with nominals, the knowledge base
+entails ``r(a, b)`` iff it entails ``a : ∃r.{b}``, so one memo holds both
+kinds of question and one pruning rule serves them.  Enumeration
+(:meth:`Reasoner.named_instances`, :meth:`Reasoner.named_role_pairs`)
+refutes candidates against one model of the knowledge base per session:
+the clash-free graph of the consistency run, read off as an
+interpretation when the session first enumerates.  A candidate outside
+the concept's extension in that model is not entailed and costs no
+tableau run; only the survivors get a refutation run.  Once the session
+holds the model, point checks consult it too.  An inconsistent knowledge
+base has no model, so nothing is pruned; nor is a candidate, or a concept
+naming an object, that the model does not interpret.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .interpretation import Interpretation, extension
 from .model import (
     And,
     Concept,
-    Forall,
+    Exists,
     Iri,
     KnowledgeBase,
     Nominal,
@@ -61,7 +63,7 @@ class Reasoner:
         self._tableau = Tableau(kb)
         self._sat: dict[Concept, SatResult] = {}
         self._instance: dict[tuple[Iri, Concept], bool] = {}
-        self._role: dict[tuple[Iri, Role, Iri], bool] = {}
+        self._extension: dict[Concept, Optional[frozenset[int]]] = {}
         self._consistent: Optional[bool] = None
         self._model: Optional[Interpretation] = None
 
@@ -103,22 +105,18 @@ class Reasoner:
     def _instance_candidates(self, c: Concept, objs: Iterable[Iri]) -> list[Iri]:
         """The objects the held model does not refute as instances of ``c``."""
         model = self._model
-        if model is None or not concept_signature(c).objects <= model.object_map.keys():
+        if model is None:
             return list(objs)
-        ext = extension(c, model)
+        # The held model never changes, so each extension is computed once;
+        # None marks a concept naming an object the model does not interpret.
+        if c not in self._extension:
+            known = concept_signature(c).objects <= model.object_map.keys()
+            self._extension[c] = extension(c, model) if known else None
+        ext = self._extension[c]
+        if ext is None:
+            return list(objs)
         where = model.object_map
         return [o for o in objs if o not in where or where[o] in ext]
-
-    def _role_candidates(self, role: Role,
-                         pairs: Iterable[tuple[Iri, Iri]]) -> list[tuple[Iri, Iri]]:
-        """The pairs the held model does not refute as edges of ``role``."""
-        model = self._model
-        if model is None:
-            return list(pairs)
-        edges = model.role_pairs(role)
-        where = model.object_map
-        return [(a, b) for a, b in pairs
-                if a not in where or b not in where or (where[a], where[b]) in edges]
 
     def entails_instance(self, obj: Iri, c: Concept) -> bool:
         """True iff the knowledge base entails that ``obj`` belongs to ``c``."""
@@ -134,16 +132,7 @@ class Reasoner:
 
     def entails_role(self, subject: Iri, role: Role, obj: Iri) -> bool:
         """True iff the knowledge base entails the ``role`` edge (subject, obj)."""
-        key = (subject, role, obj)
-        cached = self._role.get(key)
-        if cached is None:
-            if not self._role_candidates(role, ((subject, obj),)):
-                return False
-            probe = Forall(role, Not(Nominal(obj)))
-            graph = self._tableau.run(extra_assertions=((subject, probe),))
-            cached = graph is None
-            self._role[key] = cached
-        return cached
+        return self.entails_instance(subject, Exists(role, Nominal(obj)))
 
     def named_instances(self, c: Concept) -> frozenset[Iri]:
         """The named objects provably belonging to ``c``."""
@@ -158,6 +147,7 @@ class Reasoner:
         self._session_model()
         subjects = self.objects if subject is None else (subject,)
         objs = self.objects if obj is None else (obj,)
-        pairs = ((a, b) for a in subjects for b in objs)
-        return frozenset((a, b) for a, b in self._role_candidates(role, pairs)
-                         if self.entails_role(a, role, b))
+        probes = ((b, Exists(role, Nominal(b))) for b in objs)
+        return frozenset((a, b) for b, c in probes
+                         for a in self._instance_candidates(c, subjects)
+                         if self.entails_instance(a, c))

@@ -20,7 +20,9 @@ roles and single-object nominals:
 Rule priority is fixed (merge, then ⊓, ⊔, ∃, ∀; lowest node id first;
 within a label, insertion order), disjunctions with exactly one
 non-clashing side are applied without a choice point, and real choice
-points are explored by depth-first backtracking.  Runs are reproducible.
+points are explored depth-first from an explicit stack of pending graphs
+(so the number of choice points is not bounded by Python's recursion
+limit), first choice first.  Runs are reproducible.
 
 From a clash-free completed graph a finite model is read off directly:
 blocked nodes are dropped and edges into them are redirected to their
@@ -53,17 +55,6 @@ from .model import (
     signature,
 )
 
-_NEGATIONS: dict[Concept, Concept] = {}
-
-
-def _neg(c: Concept) -> Concept:
-    cached = _NEGATIONS.get(c)
-    if cached is None:
-        cached = negated(c)
-        _NEGATIONS[c] = cached
-    return cached
-
-
 class _Graph:
     """Mutable completion graph; copied at disjunction choice points.
 
@@ -71,14 +62,13 @@ class _Graph:
     every iteration order below is deterministic without sorting.
     """
 
-    __slots__ = ("labels", "parent", "out", "inc", "pruned", "clashed", "next_id")
+    __slots__ = ("labels", "parent", "out", "inc", "clashed", "next_id")
 
     def __init__(self) -> None:
         self.labels: dict[int, dict[Concept, None]] = {}
         self.parent: dict[int, Optional[int]] = {}
         self.out: dict[int, dict[int, set[Iri]]] = {}
         self.inc: dict[int, dict[int, set[Iri]]] = {}
-        self.pruned: set[int] = set()
         self.clashed = False
         self.next_id = 0
 
@@ -88,7 +78,6 @@ class _Graph:
         g.parent = dict(self.parent)
         g.out = {n: {d: set(r) for d, r in adj.items()} for n, adj in self.out.items()}
         g.inc = {n: {d: set(r) for d, r in adj.items()} for n, adj in self.inc.items()}
-        g.pruned = set(self.pruned)
         g.clashed = self.clashed
         g.next_id = self.next_id
         return g
@@ -103,9 +92,6 @@ class _Graph:
         for c in label:
             self.add(node, c)
         return node
-
-    def alive(self) -> list[int]:
-        return [n for n in self.labels if n not in self.pruned]
 
     def add(self, node: int, c: Concept) -> bool:
         """Add a concept to a label; returns False if already present.
@@ -131,7 +117,7 @@ class _Graph:
     def neighbors(self, node: int, role: Role) -> Iterator[int]:
         adj = self.inc[node] if role.inverse else self.out[node]
         for other, roles in adj.items():
-            if role.iri in roles and other not in self.pruned:
+            if role.iri in roles:
                 yield other
 
     def connection(self, a: int, b: int) -> tuple[frozenset[Iri], frozenset[Iri]]:
@@ -142,7 +128,7 @@ class _Graph:
 
     def merge(self, target: int, source: int) -> None:
         """Fold ``source`` into ``target``: union labels, reroute edges,
-        re-parent children, retire the source node."""
+        re-parent children, delete the source node."""
         for c in self.labels[source]:
             self.add(target, c)
         for dst, roles in list(self.out[source].items()):
@@ -156,12 +142,11 @@ class _Graph:
             for r in roles:
                 self.add_edge(src, target, r)
             self.out[src].pop(source, None)
-        self.out[source] = {}
-        self.inc[source] = {}
+        for table in (self.labels, self.parent, self.out, self.inc):
+            del table[source]
         for node, par in self.parent.items():
             if par == source:
                 self.parent[node] = target
-        self.pruned.add(source)
 
     def blocking(self) -> tuple[dict[int, int], set[int]]:
         """(directly-blocked -> blocker, all blocked nodes), by ascending id;
@@ -169,7 +154,7 @@ class _Graph:
         direct: dict[int, int] = {}
         blocked: set[int] = set()
         candidates: list[int] = []
-        for node in self.alive():
+        for node in self.labels:
             par = self.parent[node]
             if par is not None and par in blocked:
                 blocked.add(node)
@@ -202,6 +187,14 @@ class Tableau:
         )
         self.named: tuple[Iri, ...] = tuple(
             sorted(signature(kb).objects, key=lambda i: i.value))
+        self._negations: dict[Concept, Concept] = {}
+
+    def _neg(self, c: Concept) -> Concept:
+        cached = self._negations.get(c)
+        if cached is None:
+            cached = negated(c)
+            self._negations[c] = cached
+        return cached
 
     def _initial_graph(
         self,
@@ -248,49 +241,59 @@ class Tableau:
         # Deterministic rules run to quiescence before any choice point, and
         # successors are generated before branching, so every branch starts
         # from a fully propagated graph.  Disjunctions with at most one
-        # non-clashing side never branch.
+        # non-clashing side never branch.  A choice point pushes one graph
+        # per choice, the first on top; the last choice takes the graph
+        # itself, the others a copy.
+        pending = [graph]
+        while pending:
+            graph = pending.pop()
+            branch = self._saturate(graph)
+            if graph.clashed:
+                continue
+            if branch is None:
+                return graph
+            node, choices = branch
+            attempts = [graph.copy() for _ in choices[1:]] + [graph]
+            for attempt, choice in zip(attempts, choices):
+                attempt.add(node, choice)
+            pending.extend(reversed(attempts))
+        return None
+
+    def _saturate(self, graph: _Graph) -> Optional[tuple[int, list[Concept]]]:
+        """Apply deterministic rules until the graph clashes or is complete
+        (both None), or needs a choice: then (node, choices)."""
         while True:
             if graph.clashed:
                 return None
-            alive = graph.alive()
 
-            action = self._merge_action(graph, alive)
+            action = self._merge_action(graph)
             if action is not None:
                 graph.merge(*action)
                 continue
 
-            if self._apply_conjunctions(graph, alive):
+            if self._apply_conjunctions(graph):
                 continue
 
-            if self._apply_foralls(graph, alive):
+            if self._apply_foralls(graph):
                 continue
 
-            branch = self._disjunction_action(graph, alive)
+            branch = self._disjunction_action(graph)
             if branch is not None and len(branch[1]) <= 1:
                 node, choices = branch
                 if not choices:
+                    graph.clashed = True
                     return None
                 graph.add(node, choices[0])
                 continue
 
-            if self._apply_exists(graph, alive):
+            if self._apply_exists(graph):
                 continue
 
-            if branch is not None:
-                node, choices = branch
-                for choice in choices:
-                    attempt = graph.copy()
-                    attempt.add(node, choice)
-                    result = self._expand(attempt)
-                    if result is not None:
-                        return result
-                return None
+            return branch
 
-            return graph
-
-    def _merge_action(self, graph: _Graph, alive: list[int]) -> Optional[tuple[int, int]]:
+    def _merge_action(self, graph: _Graph) -> Optional[tuple[int, int]]:
         seen: dict[Iri, int] = {}
-        for node in alive:
+        for node in graph.labels:
             for c in graph.labels[node]:
                 if isinstance(c, Nominal):
                     first = seen.get(c.obj)
@@ -300,9 +303,9 @@ class Tableau:
                         return (first, node)
         return None
 
-    def _apply_conjunctions(self, graph: _Graph, alive: list[int]) -> bool:
+    def _apply_conjunctions(self, graph: _Graph) -> bool:
         changed = False
-        for node in alive:
+        for node in graph.labels:
             label = graph.labels[node]
             # Snapshot: decompositions may enqueue further conjunctions,
             # which the next sweep picks up.
@@ -314,13 +317,11 @@ class Tableau:
                         return True
         return changed
 
-    def _disjunction_action(
-        self, graph: _Graph, alive: list[int]
-    ) -> Optional[tuple[int, list[Concept]]]:
+    def _disjunction_action(self, graph: _Graph) -> Optional[tuple[int, list[Concept]]]:
         """The next disjunction to apply: prefer ones decided by the current
         label (zero or one viable side) over genuine choice points."""
         first_choice: Optional[tuple[int, list[Concept]]] = None
-        for node in alive:
+        for node in graph.labels:
             label = graph.labels[node]
             for c in label:
                 if not isinstance(c, Or):
@@ -329,7 +330,7 @@ class Tableau:
                     continue
                 viable = [
                     d for d in (c.left, c.right)
-                    if not isinstance(d, Bottom) and _neg(d) not in label
+                    if not isinstance(d, Bottom) and self._neg(d) not in label
                 ]
                 if len(viable) <= 1:
                     return (node, viable)
@@ -337,10 +338,12 @@ class Tableau:
                     first_choice = (node, viable)
         return first_choice
 
-    def _apply_exists(self, graph: _Graph, alive: list[int]) -> bool:
+    def _apply_exists(self, graph: _Graph) -> bool:
         direct, blocked = graph.blocking()
         indirect = blocked - direct.keys()
-        for node in alive:
+        # Returns as soon as it adds a node, so the label dict is never
+        # iterated after a change.
+        for node in graph.labels:
             if node in blocked:
                 continue
             for c in graph.labels[node]:
@@ -360,9 +363,9 @@ class Tableau:
                     return True
         return False
 
-    def _apply_foralls(self, graph: _Graph, alive: list[int]) -> bool:
+    def _apply_foralls(self, graph: _Graph) -> bool:
         changed = False
-        for node in alive:
+        for node in graph.labels:
             for c in list(graph.labels[node]):
                 if isinstance(c, Forall):
                     for y in graph.neighbors(node, c.role):
@@ -383,7 +386,7 @@ class Tableau:
         indirectly blocked node vanish with their subtree.
         """
         direct, blocked = graph.blocking()
-        surviving = [n for n in graph.alive() if n not in blocked]
+        surviving = [n for n in graph.labels if n not in blocked]
         domain = frozenset(surviving)
 
         concept_ext: dict[Iri, set[int]] = {}
@@ -399,10 +402,8 @@ class Tableau:
             return node if node in domain else direct.get(node)
 
         role_ext: dict[Iri, set[tuple[int, int]]] = {}
-        for src in graph.alive():
-            for dst, roles in graph.out[src].items():
-                if dst in graph.pruned:
-                    continue
+        for src, adj in graph.out.items():
+            for dst, roles in adj.items():
                 source, target = land(src), land(dst)
                 if source is None or target is None:
                     continue

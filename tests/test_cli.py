@@ -168,6 +168,23 @@ class TestQuery:
         assert code == 2
         assert "$org" in err
 
+    @pytest.mark.parametrize("action, value", [("type", ":Nonsense"), ("run", "notaniri")])
+    def test_unknown_splice_is_a_usage_error(self, capsys, action, value):
+        query = "SELECT ?x WHERE { ?x a :Person }"
+        code, out, err = run(capsys, "query", action, query, "--kb", KB,
+                             "--splice", f"typo={value}")
+        assert (code, out) == (2, "")
+        assert err == "ERROR E-SYNTAX 1:1\nunknown --splice for: $typo\n"
+
+    @pytest.mark.parametrize("action, first, second", [
+        ("type", ":Employee", ":Person"), ("run", ":csdept", ":softlang")])
+    def test_repeated_splice_is_a_usage_error(self, capsys, action, first, second):
+        query = "SELECT ?rg WHERE { ?rg :subOrganizationOf $org }"
+        code, out, err = run(capsys, "query", action, query, "--kb", KB_EXT,
+                             "--splice", f"org={first}", "--splice", f"org={second}")
+        assert (code, out) == (2, "")
+        assert err == "ERROR E-SYNTAX 1:1\nrepeated --splice for: $org\n"
+
 
 class TestLang:
     def test_check_reports_per_definition_ok(self, capsys):

@@ -114,8 +114,12 @@ class TestLub:
         assert lub(t, t) == t
 
     def test_shape_mismatch_is_an_error(self, uc):
-        with pytest.raises(LangTypeError):
-            lub(BOOL, ConceptType(uc(":Person")))
+        with pytest.raises(LangTypeError) as err:
+            lub(BOOL, ConceptType(uc(":Person")), (3, 7))
+        assert err.value.category == "E-SUB"
+        assert err.value.pos == (3, 7)
+        assert "incompatible shapes" in err.value.message
+        assert "Bool" in err.value.message
 
 
 class TestTypecheck:

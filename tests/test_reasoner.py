@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from dlq.interpretation import bounded_model_search, extension, verify_model
 from dlq.model import (
@@ -8,10 +9,12 @@ from dlq.model import (
     Atomic,
     BOTTOM,
     ConceptAssertion,
+    Forall,
     Iri,
     KnowledgeBase,
     Nominal,
     Not,
+    Or,
     Role,
     SubClass,
     TOP,
@@ -19,6 +22,13 @@ from dlq.model import (
 )
 from dlq.reasoner import Reasoner
 from support import iri, random_kb, _random_simple_concept
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
 
 
 class TestConsistency:
@@ -38,6 +48,20 @@ class TestConsistency:
     def test_nominal_in_tbox_constrains_its_object(self):
         kb = KnowledgeBase(tbox=(SubClass(Nominal(iri("o")), BOTTOM),))
         assert not Reasoner(kb).is_consistent()
+
+    def test_choice_points_take_no_python_stack(self):
+        # 300 independent disjunctions nest 300 choice points; the search
+        # must not spend a Python frame on each of them.
+        kb = KnowledgeBase(abox=tuple(
+            ConceptAssertion(iri(f"o{i}"), Or(Atomic(iri(f"A{i}")), Atomic(iri(f"B{i}"))))
+            for i in range(300)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            consistent = Reasoner(kb).is_consistent()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert consistent
 
 
 class TestSatisfiability:
@@ -233,6 +257,34 @@ class TestProperties:
                 found += 1
                 assert Reasoner(kb).is_satisfiable(concept).satisfiable
         assert found > 50
+
+    def test_role_entailment_is_sound_against_bounded_models(self):
+        # Role entailment goes through instance entailment of r some {b},
+        # and so does the denotational oracle; this checks the reduction
+        # against models of the knowledge base plus a : r only not {b},
+        # on a session that only point-checks and on one that enumerated
+        # (and so prunes against its model) first.  Domain size 2, not 3:
+        # when the edge is entailed the search must exhaust every
+        # interpretation, which takes minutes at size 3.
+        rng = random.Random(31)
+        roles = [Role(iri("r")), Role(iri("s")), Role(iri("r"), inverse=True)]
+        refuted = 0
+        for _ in range(100):
+            kb = random_kb(rng)
+            point, enumerated = Reasoner(kb), Reasoner(kb)
+            pairs = {role: enumerated.named_role_pairs(role) for role in roles}
+            for a in point.objects:
+                for b in point.objects:
+                    for role in roles:
+                        probe = kb.extended(
+                            ConceptAssertion(a, Forall(role, Not(Nominal(b)))))
+                        if bounded_model_search(probe, TOP, 2) is None:
+                            continue
+                        refuted += 1
+                        assert not point.entails_role(a, role, b)
+                        assert not enumerated.entails_role(a, role, b)
+                        assert (a, b) not in pairs[role]
+        assert refuted > 2000
 
     def test_definitional_coherence(self):
         rng = random.Random(17)
