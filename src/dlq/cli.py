@@ -286,7 +286,12 @@ def _cmd_lang(args) -> int:
             print("OK main")
         return 0
 
-    value = evaluate(r, program)
+    try:
+        value = evaluate(r, program)
+    except RecursionError:
+        # Recursion in programs is permitted and unchecked; a runaway one
+        # is a runtime fault of the program.
+        raise EvalError(program.main.pos, "recursion depth exceeded") from None
     if args.output == "json":
         print(json.dumps(_value_to_json(value)))
     else:
@@ -369,10 +374,10 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error("E-RUNTIME", exc.pos, exc.message)
         return 3
     except RecursionError:
-        # Recursion in programs is permitted and unchecked; a runaway one
-        # is a runtime fault, not a crash.
-        _emit_error("E-RUNTIME", (1, 1), "recursion depth exceeded")
-        return 3
+        # Input the parsers accepted but that nests too deeply to reason
+        # over: a limit of the Python stack, not a fault of the input.
+        print("error: input nested too deeply for the Python stack", file=sys.stderr)
+        return 4
     except _Environment as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -41,6 +41,7 @@ from .model import (
     SubClass,
     TOP,
     Top,
+    concept_depth,
 )
 
 __all__ = [
@@ -52,6 +53,13 @@ __all__ = [
     "print_role",
     "print_kb",
 ]
+
+# Reasoning over a concept recurses once or twice per level (hashing,
+# normal forms, extensions), so deeper input is refused where it is read,
+# with its position, instead of exhausting the Python stack later.  A chain
+# of ``and`` or ``or`` counts one level per operand.
+MAX_CONCEPT_DEPTH = 100
+
 
 def expand_name(tok: Token, prefixes: Mapping[str, str]) -> Iri:
     """Resolve an IRIREF or PNAME token to an absolute IRI."""
@@ -91,7 +99,12 @@ def read_role(ts: TokenStream, prefixes: Mapping[str, str]) -> Role:
 
 def read_concept(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
     """Parse one concept expression from the stream (stops at foreign tokens)."""
-    return _or_expr(ts, prefixes)
+    start = ts.peek()
+    c = ts.within_stack(lambda: _or_expr(ts, prefixes), "concept")
+    if concept_depth(c) > MAX_CONCEPT_DEPTH:
+        raise ParseError(start.line, start.column,
+                         f"concept nested more than {MAX_CONCEPT_DEPTH} levels deep")
+    return c
 
 
 def _or_expr(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:

@@ -444,4 +444,5 @@ class _Resolver:
 
 def parse_program(text: str) -> Program:
     """Parse and scope-check a program file."""
-    return _ProgramParser(text).parse()
+    parser = _ProgramParser(text)
+    return parser.ts.within_stack(parser.parse, "program")

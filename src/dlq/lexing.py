@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +123,14 @@ class TokenStream:
     def skip_newlines(self) -> None:
         while self.peek().kind == "NL":
             self.next()
+
+    def within_stack(self, parse: Callable[[], T], what: str) -> T:
+        """``parse()``; input nested deeper than the Python stack allows is
+        a syntax error at the token where the stack ran out."""
+        try:
+            return parse()
+        except RecursionError:
+            raise self.error(f"{what} nested too deeply") from None
 
     def error(self, message: str) -> ParseError:
         tok = self.peek()

@@ -253,6 +253,23 @@ def signature(kb: KnowledgeBase) -> Signature:
     return Signature(frozenset(concepts), frozenset(roles), frozenset(objects))
 
 
+def concept_depth(c: Concept) -> int:
+    """Constructor nesting depth of ``c`` (an atom has depth 1), computed
+    without recursion, so any depth can be measured."""
+    depth = 0
+    stack = [(c, 1)]
+    while stack:
+        c, d = stack.pop()
+        depth = max(depth, d)
+        if isinstance(c, Not):
+            stack.append((c.operand, d + 1))
+        elif isinstance(c, (And, Or)):
+            stack += [(c.left, d + 1), (c.right, d + 1)]
+        elif isinstance(c, (Exists, Forall)):
+            stack.append((c.filler, d + 1))
+    return depth
+
+
 def nnf(c: Concept) -> Concept:
     """Negation normal form: negation pushed onto atomic concepts and nominals."""
     if isinstance(c, (Top, Bottom, Atomic, Nominal)):

@@ -333,7 +333,8 @@ def parse_query(text: str, prefixes: Mapping[str, str],
     """Parse a SELECT query; ``line``/``column`` offset positions when the
     query text is embedded in a larger source file."""
     tokens = [t for t in tokenize(text, line, column) if t.kind != "NL"]
-    return _QueryParser(TokenStream(tokens), prefixes).parse()
+    ts = TokenStream(tokens)
+    return ts.within_stack(_QueryParser(ts, prefixes).parse, "query")
 
 
 # --- semantics --------------------------------------------------------------

@@ -64,6 +64,7 @@ class Reasoner:
         self._sat: dict[Concept, SatResult] = {}
         self._instance: dict[tuple[Iri, Concept], bool] = {}
         self._extension: dict[Concept, Optional[frozenset[int]]] = {}
+        self._role_probes: dict[tuple[Role, Iri], Concept] = {}
         self._consistent: Optional[bool] = None
         self._model: Optional[Interpretation] = None
 
@@ -130,9 +131,18 @@ class Reasoner:
             self._instance[key] = cached
         return cached
 
+    def _role_probe(self, role: Role, obj: Iri) -> Concept:
+        """``role some {obj}``, built once per session: a fresh concept
+        would be hashed anew at every memo lookup."""
+        key = (role, obj)
+        probe = self._role_probes.get(key)
+        if probe is None:
+            probe = self._role_probes[key] = Exists(role, Nominal(obj))
+        return probe
+
     def entails_role(self, subject: Iri, role: Role, obj: Iri) -> bool:
         """True iff the knowledge base entails the ``role`` edge (subject, obj)."""
-        return self.entails_instance(subject, Exists(role, Nominal(obj)))
+        return self.entails_instance(subject, self._role_probe(role, obj))
 
     def named_instances(self, c: Concept) -> frozenset[Iri]:
         """The named objects provably belonging to ``c``."""
@@ -147,7 +157,7 @@ class Reasoner:
         self._session_model()
         subjects = self.objects if subject is None else (subject,)
         objs = self.objects if obj is None else (obj,)
-        probes = ((b, Exists(role, Nominal(b))) for b in objs)
+        probes = ((b, self._role_probe(role, b)) for b in objs)
         return frozenset((a, b) for b, c in probes
                          for a in self._instance_candidates(c, subjects)
                          if self.entails_instance(a, c))

@@ -4,12 +4,26 @@ The calculus handles boolean connectives, qualified quantifiers, inverse
 roles and single-object nominals:
 
 * every concept is kept in negation normal form;
-* each inclusion C ⊑ D is internalised as the disjunction nnf(¬C ⊔ D),
-  part of every node's label from the moment the node is created;
+* the T-Box is absorbed into lazy unfolding (Horrocks and Tobies, KR 2000;
+  role absorption after Tsarkov and Horrocks, DL 2004): C1 ⊔ C2 ⊑ D splits
+  into C1 ⊑ D and C2 ⊑ D; A ⊓ X ⊑ D with A atomic becomes the trigger
+  A ↦ nnf(¬X ⊔ D), added to a label whenever A enters it; failing an
+  atomic conjunct, ∃r.F ⊓ X ⊑ D becomes the equivalent
+  F ⊑ ∀inv(r).nnf(¬X ⊔ D) and is absorbed in turn, so ∃r.⊤ ⊑ D ends as
+  the deterministic ∀inv(r).D; ⊤ ⊑ D internalises D.  Only what none of
+  these rules takes stays internalised as the disjunction nnf(¬C ⊔ D).
+  Internalised concepts are part of every node's label from the moment
+  the node is created.  Only positive atomic concepts trigger: a node
+  without A is outside A in the extracted model, so a trigger on ¬A would
+  miss every node holding neither;
 * universal restrictions propagate across edges in both directions, so
   inverse roles need no special casing beyond the neighbour relation;
 * two nodes sharing a nominal are merged (newer into older), which is the
-  only way equality between individuals can be forced here;
+  only way equality between individuals can be forced here.  The subtree
+  the newer node generated is pruned, not re-parented (Horrocks and
+  Sattler, IJCAI 2005): the older node regenerates what it needs.  Kept,
+  each merge could unblock a chain that grew one node more before the
+  next merge, without end;
 * termination comes from anywhere pairwise blocking: an anonymous node is
   blocked when its (label, parent label, connecting edge labels) triple
   duplicates that of an earlier unblocked anonymous node.  Nodes holding a
@@ -17,12 +31,13 @@ roles and single-object nominals:
   blocking; label-filling rules are harmless on blocked nodes and keep
   the block condition honest.
 
-Rule priority is fixed (merge, then ⊓, ⊔, ∃, ∀; lowest node id first;
+Rule priority is fixed (merge, then ⊓, ∀, ⊔, ∃; lowest node id first;
 within a label, insertion order), disjunctions with exactly one
-non-clashing side are applied without a choice point, and real choice
-points are explored depth-first from an explicit stack of pending graphs
-(so the number of choice points is not bounded by Python's recursion
-limit), first choice first.  Runs are reproducible.
+non-clashing side are applied without a choice point, successors are
+generated before the first real choice point, and real choice points are
+explored depth-first from an explicit stack of pending graphs (so the
+number of choice points is not bounded by Python's recursion limit),
+first choice first.  Runs are reproducible.
 
 From a clash-free completed graph a finite model is read off directly:
 blocked nodes are dropped and edges into them are redirected to their
@@ -31,7 +46,7 @@ blockers, which the pairwise blocking condition makes safe.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .interpretation import Interpretation
 from .model import (
@@ -49,6 +64,8 @@ from .model import (
     Or,
     Role,
     RoleAssertion,
+    SubClass,
+    Top,
     concept_signature,
     negated,
     nnf,
@@ -59,18 +76,24 @@ class _Graph:
     """Mutable completion graph; copied at disjunction choice points.
 
     Labels are insertion-ordered concept sets (dicts with None values), so
-    every iteration order below is deterministic without sorting.
+    every iteration order below is deterministic without sorting.  The
+    unfolding table and the negation lookup belong to the tableau and are
+    shared by every copy.
     """
 
-    __slots__ = ("labels", "parent", "out", "inc", "clashed", "next_id")
+    __slots__ = ("labels", "parent", "out", "inc", "clashed", "next_id",
+                 "unfolding", "neg")
 
-    def __init__(self) -> None:
+    def __init__(self, unfolding: dict[Concept, tuple[Concept, ...]],
+                 neg: Callable[[Concept], Concept]) -> None:
         self.labels: dict[int, dict[Concept, None]] = {}
         self.parent: dict[int, Optional[int]] = {}
         self.out: dict[int, dict[int, set[Iri]]] = {}
         self.inc: dict[int, dict[int, set[Iri]]] = {}
         self.clashed = False
         self.next_id = 0
+        self.unfolding = unfolding
+        self.neg = neg
 
     def copy(self) -> "_Graph":
         g = _Graph.__new__(_Graph)
@@ -80,6 +103,8 @@ class _Graph:
         g.inc = {n: {d: set(r) for d, r in adj.items()} for n, adj in self.inc.items()}
         g.clashed = self.clashed
         g.next_id = self.next_id
+        g.unfolding = self.unfolding
+        g.neg = self.neg
         return g
 
     def new_node(self, parent: Optional[int], label: Iterable[Concept]) -> int:
@@ -94,19 +119,27 @@ class _Graph:
         return node
 
     def add(self, node: int, c: Concept) -> bool:
-        """Add a concept to a label; returns False if already present.
-        Flags a clash on bottom or on a complementary literal pair."""
+        """Add a concept to a label, and what it unfolds to; returns False
+        if already present.  Flags a clash on bottom or on a complementary
+        literal pair."""
         label = self.labels[node]
         if c in label:
             return False
-        label[c] = None
-        if isinstance(c, Bottom):
-            self.clashed = True
-        elif isinstance(c, Not):
-            if c.operand in label:
-                self.clashed = True
-        elif isinstance(c, (Atomic, Nominal)):
-            if Not(c) in label:
+        todo = [c]
+        # The list grows while it is walked: unfoldings join the label
+        # after their trigger, in table order.
+        for c in todo:
+            if c in label:
+                continue
+            label[c] = None
+            if isinstance(c, (Atomic, Nominal)):
+                if self.neg(c) in label:
+                    self.clashed = True
+                todo.extend(self.unfolding.get(c, ()))
+            elif isinstance(c, Not):
+                if c.operand in label:
+                    self.clashed = True
+            elif isinstance(c, Bottom):
                 self.clashed = True
         return True
 
@@ -127,26 +160,35 @@ class _Graph:
         return any(isinstance(c, Nominal) for c in self.labels[node])
 
     def merge(self, target: int, source: int) -> None:
-        """Fold ``source`` into ``target``: union labels, reroute edges,
-        re-parent children, delete the source node."""
+        """Fold ``source`` into ``target``: delete the subtree ``source``
+        generated, union labels, copy the remaining edges onto ``target``,
+        delete ``source``."""
+        subtree = [source]
+        for node, par in self.parent.items():  # a parent precedes its children
+            if par in subtree:
+                subtree.append(node)
+        for node in subtree[1:]:
+            self.delete(node)
         for c in self.labels[source]:
             self.add(target, c)
-        for dst, roles in list(self.out[source].items()):
-            dst2 = target if dst == source else dst
+        for dst, roles in self.out[source].items():
             for r in roles:
-                self.add_edge(target, dst2, r)
-            self.inc[dst].pop(source, None)
-        for src, roles in list(self.inc[source].items()):
-            if src == source:
-                continue
-            for r in roles:
-                self.add_edge(src, target, r)
-            self.out[src].pop(source, None)
-        for table in (self.labels, self.parent, self.out, self.inc):
-            del table[source]
-        for node, par in self.parent.items():
-            if par == source:
-                self.parent[node] = target
+                self.add_edge(target, target if dst == source else dst, r)
+        for src, roles in self.inc[source].items():
+            if src != source:
+                for r in roles:
+                    self.add_edge(src, target, r)
+        self.delete(source)
+
+    def delete(self, node: int) -> None:
+        """Remove a node and every edge touching it."""
+        for dst in self.out.pop(node):
+            if dst != node:
+                self.inc[dst].pop(node)
+        for src in self.inc.pop(node):
+            if src != node:
+                self.out[src].pop(node)
+        del self.labels[node], self.parent[node]
 
     def blocking(self) -> tuple[dict[int, int], set[int]]:
         """(directly-blocked -> blocker, all blocked nodes), by ascending id;
@@ -177,14 +219,72 @@ class _Graph:
         return direct, blocked
 
 
+def _absorb(gcis: Iterable[SubClass]) -> tuple[dict[Concept, tuple[Concept, ...]],
+                                              tuple[Concept, ...]]:
+    """Sort inclusions into (atomic trigger -> concepts it unfolds to, the
+    concepts every node carries), by the rules in the module docstring."""
+    unfolding: dict[Concept, dict[Concept, None]] = {}
+    internalized: dict[Concept, None] = {}
+    pending = [(nnf(g.sub), nnf(g.sup)) for g in gcis]
+    # Rewritten inclusions join the list while it is walked, so an ∃ chain
+    # on a left-hand side takes one step per quantifier, not one frame.
+    for sub, sup in pending:
+        if isinstance(sub, Or):
+            pending += [(sub.left, sup), (sub.right, sup)]
+            continue
+        conjuncts = _conjuncts(sub)
+        if any(isinstance(c, Bottom) for c in conjuncts) or isinstance(sup, Top):
+            continue
+        atom = next((i for i, c in enumerate(conjuncts) if isinstance(c, Atomic)), None)
+        if atom is not None:
+            rest = conjuncts[:atom] + conjuncts[atom + 1:]
+            unfolding.setdefault(conjuncts[atom], {})[_implies(rest, sup)] = None
+            continue
+        if not conjuncts:
+            internalized[sup] = None
+            continue
+        some = next((i for i, c in enumerate(conjuncts) if isinstance(c, Exists)), None)
+        if some is not None:
+            rest = conjuncts[:some] + conjuncts[some + 1:]
+            c = conjuncts[some]
+            pending.append((c.filler, Forall(c.role.inverted(), _implies(rest, sup))))
+            continue
+        internalized[_implies(conjuncts, sup)] = None
+    return ({a: tuple(cs) for a, cs in unfolding.items()}, tuple(internalized))
+
+
+def _conjuncts(c: Concept) -> list[Concept]:
+    """The conjuncts of an NNF concept, nested ∧ flattened and ⊤ dropped."""
+    out: list[Concept] = []
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, And):
+            stack += [c.right, c.left]
+        elif not isinstance(c, Top):
+            out.append(c)
+    return out
+
+
+def _implies(conjuncts: list[Concept], sup: Concept) -> Concept:
+    """nnf(¬(⊓ conjuncts) ⊔ sup) for an NNF ``sup``: ``sup`` itself when
+    there is no conjunct, and no disjunction with ⊥."""
+    if not conjuncts:
+        return sup
+    x = conjuncts[0]
+    for c in conjuncts[1:]:
+        x = And(x, c)
+    if isinstance(sup, Bottom):
+        return negated(x)
+    return nnf(Or(Not(x), sup))
+
+
 class Tableau:
     """Deterministic satisfiability runs over one knowledge base."""
 
     def __init__(self, kb: KnowledgeBase) -> None:
         self.kb = kb
-        self.internalized: tuple[Concept, ...] = tuple(
-            dict.fromkeys(nnf(Or(Not(g.sub), g.sup)) for g in kb.gcis())
-        )
+        self.unfolding, self.internalized = _absorb(kb.gcis())
         self.named: tuple[Iri, ...] = tuple(
             sorted(signature(kb).objects, key=lambda i: i.value))
         self._negations: dict[Concept, Concept] = {}
@@ -201,7 +301,7 @@ class Tableau:
         probe: Optional[Concept],
         extra_assertions: tuple[tuple[Iri, Concept], ...],
     ) -> _Graph:
-        graph = _Graph()
+        graph = _Graph(self.unfolding, self._neg)
         named = list(self.named)
         for obj, _ in extra_assertions:
             if obj not in named:

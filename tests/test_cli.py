@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import pytest
 
 from dlq.cli import main
+from dlq.reasoner import Reasoner
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 KB = str(FIXTURES / "university.kb")
@@ -73,6 +75,53 @@ class TestReason:
         code, _, err = run(capsys, "reason", "sat", "Thing", "--kb", "no-such.kb")
         assert code == 4
         assert "no-such.kb" in err
+
+
+class TestNesting:
+    CHAINS = {
+        "not": lambda d: "not " * (d - 1) + ":B",
+        "some": lambda d: ":r some " * (d - 1) + ":B",
+        "and": lambda d: " and ".join([":B"] * d),
+    }
+
+    def _kb(self, tmp_path, line):
+        path = tmp_path / "nested.kb"
+        path.write_text(f"prefix : <http://example.org/t#>\n{line}\n")
+        return str(path)
+
+    def test_kb_nested_past_the_parser_stack_is_a_syntax_error(self, capsys, tmp_path):
+        line = ":A SubClassOf " + "(" * 1500 + ":B" + ")" * 1500
+        code, out, err = run(capsys, "reason", "sat", ":A", "--kb",
+                             self._kb(tmp_path, line))
+        header, message = err.splitlines()
+        where = re.fullmatch(r"ERROR E-SYNTAX 2:(\d+)", header)
+        assert (code, out) == (2, "")
+        assert where is not None and line[int(where.group(1)) - 1] == "("
+        assert message == "concept nested too deeply, found '('"
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_concepts_at_the_depth_limit_are_reasoned_over(self, capsys, tmp_path, chain):
+        line = ":A SubClassOf " + self.CHAINS[chain](100)
+        code, out, err = run(capsys, "reason", "sat", ":A", "--kb",
+                             self._kb(tmp_path, line))
+        assert (code, out.strip(), err) == (0, "true", "")
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_concepts_past_the_depth_limit_are_syntax_errors(self, capsys, tmp_path, chain):
+        line = ":A SubClassOf " + self.CHAINS[chain](101)
+        code, out, err = run(capsys, "reason", "sat", ":A", "--kb",
+                             self._kb(tmp_path, line))
+        assert (code, out) == (2, "")
+        assert err == "ERROR E-SYNTAX 2:15\nconcept nested more than 100 levels deep\n"
+
+    def test_reasoning_out_of_stack_is_not_a_program_fault(self, capsys, monkeypatch):
+        def too_deep(self, c):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(Reasoner, "is_satisfiable", too_deep)
+        code, out, err = run(capsys, "reason", "sat", ":Chair", "--kb", KB)
+        assert (code, out) == (4, "")
+        assert err == "error: input nested too deeply for the Python stack\n"
 
 
 class TestQuery:
@@ -232,7 +281,7 @@ class TestLang:
             "main = loop(iri(:alice))\n")
         code, _, err = run(capsys, "lang", "run", str(bad), "--kb", KB)
         assert code == 3
-        assert err.startswith("ERROR E-RUNTIME")
+        assert err.startswith("ERROR E-RUNTIME 3:8\n")
         assert "recursion" in err
 
 
