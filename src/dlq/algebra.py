@@ -20,7 +20,7 @@ first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from ._record import record
 
 from .model import Iri
 from .query import (
@@ -119,7 +119,7 @@ def eval_algebraic(r: Reasoner, q: Query) -> frozenset[SolutionMapping]:
     raise TypeError(f"not a query: {q!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResultTable:
     """Projected solutions in a fixed row order; absent cells are None."""
 

@@ -18,7 +18,7 @@ reference to the splice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import record
 from typing import Mapping, Union as TUnion
 
 from .model import (
@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VarRef:
     """A reference concept: "whatever stands in ``role`` to ``var``".
 
@@ -74,7 +74,7 @@ class VarRef:
 InfConcept = TUnion[Concept, VarRef]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VariableTyping:
     """The inferred map from query variables to concept expressions."""
 
@@ -199,7 +199,7 @@ def resolve_references(
 # --- validation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Valid:
     """Validation succeeded; carries the final (resolved, and in strict mode
     narrowed) concepts per variable and per splice."""
@@ -209,7 +209,7 @@ class Valid:
     splice_vars: Mapping[str, Var]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unsatisfiable:
     """Some variable's inferred concept (or a declared splice type) has no
     possible members: the query can never return anything."""
@@ -218,7 +218,7 @@ class Unsatisfiable:
     concept: Concept
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpliceMismatch:
     """A declared splice type failed the mode check against the inferred
     constraint."""
@@ -229,7 +229,7 @@ class SpliceMismatch:
     inferred: Concept
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UntypedSelectVar:
     """A selected variable has no inferred concept (it occurs only under the
     right-hand side of MINUS)."""

@@ -10,7 +10,7 @@ deliberately independent of the tableau calculus: they serve as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import record
 from typing import Mapping, Optional
 
 from .model import (
@@ -34,7 +34,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Interpretation:
     """A finite Tarski-style interpretation over integer domain elements."""
 

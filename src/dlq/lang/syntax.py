@@ -13,7 +13,7 @@ side table; every node carries its source position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .._record import field, record
 from typing import Mapping, Union as TUnion
 
 from ..model import Concept, Iri, Role
@@ -25,17 +25,17 @@ Pos = tuple[int, int]
 # --- types ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConceptType:
     concept: Concept
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ListType:
     elem: "LangType"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TupleType:
     items: tuple["LangType", ...]
 
@@ -44,7 +44,7 @@ class TupleType:
             raise ValueError("tuple types have arity >= 2")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolType:
     pass
 
@@ -56,7 +56,7 @@ BOOL = BoolType()
 # --- terms ------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Term:
     pos: Pos = field(init=False, default=(0, 0))
 
@@ -65,80 +65,80 @@ class Term:
         return self
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Ref(Term):
     name: str
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class IriLit(Term):
     iri: Iri
     ascription: Concept | None = None
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Call(Term):
     name: str
     args: tuple[Term, ...]
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class QueryTerm(Term):
     query: SelectQuery
     strict: bool
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class RoleProj(Term):
     subject: Term
     role: Role
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class MatchCase:
     binder: str
     concept: Concept
     body: Term
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Match(Term):
     subject: Term
     cases: tuple[MatchCase, ...]
     default: Term
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class If(Term):
     cond: Term
     then: Term
     orelse: Term
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Let(Term):
     name: str
     value: Term
     body: Term
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class TupleIndex(Term):
     subject: Term
     index: int  # 1-based
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class NonEmpty(Term):
     arg: Term
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Head(Term):
     arg: Term
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Nil(Term):
     elem_type: LangType
 
@@ -146,7 +146,7 @@ class Nil(Term):
 # --- programs ---------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Definition:
     name: str
     params: tuple[tuple[str, LangType], ...]
@@ -155,7 +155,7 @@ class Definition:
     pos: Pos
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Program:
     prefixes: Mapping[str, str]
     definitions: Mapping[str, Definition]
@@ -165,22 +165,22 @@ class Program:
 # --- values -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IriVal:
     iri: Iri
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolVal:
     value: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ListVal:
     items: tuple["Value", ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TupleVal:
     items: tuple["Value", ...]
 

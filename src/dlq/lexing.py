@@ -8,13 +8,13 @@ it has no use for.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from ._record import record
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ParseError(Exception):
     """A syntax error at a 1-based position inside the input text."""
 
@@ -26,7 +26,7 @@ class ParseError(Exception):
         return f"{self.line}:{self.column}: {self.message}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Token:
     kind: str
     text: str

@@ -12,11 +12,11 @@ cache keys and be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._record import field, record
 from typing import Iterator, Mapping, Union
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Iri:
     """An absolute IRI."""
 
@@ -32,7 +32,7 @@ class Iri:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Role:
     """A role expression: an atomic role name or its inverse."""
 
@@ -46,23 +46,24 @@ class Role:
 class Concept:
     """Base class for concept expressions."""
 
+    _hash = None  # the structural hash, stored per instance on first use
+
 
 def _concept_node(cls):
-    """Frozen dataclass whose structural hash is computed once per instance.
+    """Frozen record whose structural hash is computed once per instance.
 
     Concept trees are used as set members and cache keys constantly; the
     generated recursive hash would dominate the reasoner's runtime.
     """
-    cls = dataclass(frozen=True)(cls)
+    cls = record(frozen=True)(cls)
     generated = cls.__hash__
 
     def cached_hash(self):
-        try:
-            return self._hash
-        except AttributeError:
+        value = self._hash
+        if value is None:
             value = generated(self)
             object.__setattr__(self, "_hash", value)
-            return value
+        return value
 
     cls.__hash__ = cached_hash
     return cls
@@ -123,25 +124,25 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SubClass:
     sub: Concept
     sup: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Equivalent:
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ConceptAssertion:
     obj: Iri
     concept: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RoleAssertion:
     """A role edge between two named objects.
 
@@ -166,7 +167,7 @@ ABoxAxiom = Union[ConceptAssertion, RoleAssertion]
 Axiom = Union[TBoxAxiom, ABoxAxiom]
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class KnowledgeBase:
     """A T-Box, an A-Box and the prefix table they were written with.
 
@@ -197,7 +198,7 @@ class KnowledgeBase:
         return KnowledgeBase(tbox, abox, self.prefixes)
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Signature:
     """The atomic names occurring syntactically in a knowledge base."""
 

@@ -25,7 +25,7 @@ knowledge-base concept syntax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import record
 from typing import Iterator, Mapping, Union as TUnion
 
 from .kbtext import read_concept, expand_name
@@ -44,22 +44,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class VarElem:
     var: Var
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class IriElem:
     iri: Iri
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SpliceElem:
     splice: str
 
@@ -67,13 +67,13 @@ class SpliceElem:
 PatternElem = TUnion[VarElem, IriElem, SpliceElem]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ConceptPattern:
     elem: PatternElem
     concept: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RolePattern:
     subject: PatternElem
     role: Role
@@ -87,30 +87,30 @@ class Query:
     """Base class for query algebra nodes."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pattern(Query):
     pattern: QueryPattern
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Join(Query):
     left: Query
     right: Query
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Union(Query):
     left: Query
     right: Query
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Minus(Query):
     left: Query
     right: Query
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Optional(Query):
     left: Query
     right: Query
@@ -164,7 +164,7 @@ def substitute_splices(q: Query, values: Mapping[str, PatternElem]) -> Query:
     return _map_elems(q, subst)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SelectQuery:
     """A query body plus projection list and the splices it mentions (ids
     in first-occurrence order, one entry per id)."""
@@ -181,7 +181,7 @@ class SelectQuery:
 # --- solution mappings ------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SolutionMapping:
     """A partial map from variables to objects, canonically ordered."""
 

@@ -27,7 +27,7 @@ naming an object, that the model does not interpret.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import record
 from typing import Iterable, Optional
 
 from .interpretation import Interpretation, extension
@@ -47,7 +47,7 @@ from .tableau import Tableau
 __all__ = ["SatResult", "Reasoner"]
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class SatResult:
     """Outcome of a satisfiability check; a witness model when satisfiable."""
 

@@ -7,6 +7,8 @@ import re
 import pytest
 
 from dlq.cli import main
+from dlq.kbtext import parse_kb, shorten
+from dlq.model import signature
 from dlq.reasoner import Reasoner
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -47,8 +49,14 @@ class TestReason:
         code, out, _ = run(capsys, "reason", "sat", ":Chair", "--kb", KB,
                            "--show-model")
         assert code == 0
-        assert out.startswith("true")
-        assert '"objects"' in out
+        first, _, rest = out.partition("\n")
+        assert first == "true"
+        model = json.loads(rest)
+        kb = parse_kb(pathlib.Path(KB).read_text(encoding="utf-8"))
+        assert set(model["objects"]) == {shorten(o, kb.prefixes)
+                                         for o in signature(kb).objects}
+        assert model["concepts"][":Chair"]
+        assert set(model["objects"].values()) <= set(model["domain"])
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "reason", "sub", ":Chair", ":Person",
