@@ -12,8 +12,8 @@ roles and single-object nominals:
   F ⊑ ∀inv(r).nnf(¬X ⊔ D) and is absorbed in turn, so ∃r.⊤ ⊑ D ends as
   the deterministic ∀inv(r).D; ⊤ ⊑ D internalises D.  Only what none of
   these rules takes stays internalised as the disjunction nnf(¬C ⊔ D).
-  Internalised concepts are part of every node's label from the moment
-  the node is created.  Only positive atomic concepts trigger: a node
+  Every node carries the internalised concepts before the first rule
+  sweep.  Only positive atomic concepts trigger: a node
   without A is outside A in the extracted model, so a trigger on ¬A would
   miss every node holding neither;
 * universal restrictions propagate across edges in both directions, so
@@ -31,13 +31,17 @@ roles and single-object nominals:
   blocking; label-filling rules are harmless on blocked nodes and keep
   the block condition honest.
 
-Rule priority is fixed (merge, then ⊓, ∀, ⊔, ∃; lowest node id first;
-within a label, insertion order), disjunctions with exactly one
-non-clashing side are applied without a choice point, successors are
-generated before the first real choice point, and real choice points are
-explored depth-first from an explicit stack of pending graphs (so the
-number of choice points is not bounded by Python's recursion limit),
-first choice first.  Runs are reproducible.
+Unfolding, ⊓ and ∀ fire as concepts and edges arrive (ToDo-list
+expansion, Horrocks and Patel-Schneider, J. Logic Comput. 1999): adding a
+concept to a label closes the graph under them from a worklist, and a new
+edge carries the ∀s of both its endpoints across, so no rule sweep waits
+for them.  Merge, ⊔ and ∃ are found by sweeping the graph, in that fixed
+priority (lowest node id first; within a label, insertion order).  Disjunctions with
+exactly one non-clashing side are applied without a choice point,
+successors are generated before the first real choice point, and real
+choice points are explored depth-first from an explicit stack of pending
+graphs (so the number of choice points is not bounded by Python's
+recursion limit), first choice first.  Runs are reproducible.
 
 From a clash-free completed graph a finite model is read off directly:
 blocked nodes are dropped and edges into them are redirected to their
@@ -76,9 +80,11 @@ class _Graph:
     """Mutable completion graph; copied at disjunction choice points.
 
     Labels are insertion-ordered concept sets (dicts with None values), so
-    every iteration order below is deterministic without sorting.  The
-    unfolding table and the negation lookup belong to the tableau and are
-    shared by every copy.
+    every iteration order below is deterministic without sorting.  Until a
+    clash, labels stay closed under unfolding, ⊓ and ∀: every ⊓ has both
+    conjuncts beside it, and every ∀r.C has C in the label of each
+    r-neighbour.  The unfolding table and the negation lookup belong to
+    the tableau and are shared by every copy.
     """
 
     __slots__ = ("labels", "parent", "out", "inc", "clashed", "next_id",
@@ -118,34 +124,51 @@ class _Graph:
             self.add(node, c)
         return node
 
-    def add(self, node: int, c: Concept) -> bool:
-        """Add a concept to a label, and what it unfolds to; returns False
-        if already present.  Flags a clash on bottom or on a complementary
-        literal pair."""
-        label = self.labels[node]
-        if c in label:
-            return False
-        todo = [c]
-        # The list grows while it is walked: unfoldings join the label
-        # after their trigger, in table order.
-        for c in todo:
+    def add(self, node: int, c: Concept) -> None:
+        """Add a concept to a label and close the graph under what it
+        fires: unfolding, ⊓, and ∀ across the node's current edges.  Stops
+        at the first clash (⊥ or a complementary literal pair)."""
+        self._close([(node, c)])
+
+    def _close(self, todo: list[tuple[int, Concept]]) -> None:
+        if self.clashed:  # a clashed graph is discarded unread
+            return
+        # The list grows while it is walked: what a concept fires joins
+        # the graph after it, unfoldings in table order.
+        for node, c in todo:
+            label = self.labels[node]
             if c in label:
                 continue
             label[c] = None
             if isinstance(c, (Atomic, Nominal)):
                 if self.neg(c) in label:
                     self.clashed = True
-                todo.extend(self.unfolding.get(c, ()))
+                    return
+                todo.extend((node, d) for d in self.unfolding.get(c, ()))
+            elif isinstance(c, And):
+                todo += ((node, c.left), (node, c.right))
+            elif isinstance(c, Forall):
+                todo.extend((y, c.filler) for y in self.neighbors(node, c.role))
             elif isinstance(c, Not):
                 if c.operand in label:
                     self.clashed = True
+                    return
             elif isinstance(c, Bottom):
                 self.clashed = True
-        return True
+                return
 
     def add_edge(self, src: int, dst: int, role_iri: Iri) -> None:
-        self.out[src].setdefault(dst, set()).add(role_iri)
+        """Add an edge and carry the ∀s of both endpoints across it."""
+        roles = self.out[src].setdefault(dst, set())
+        if role_iri in roles:
+            return
+        roles.add(role_iri)
         self.inc[dst].setdefault(src, set()).add(role_iri)
+        self._close(
+            [(dst, c.filler) for c in self.labels[src] if isinstance(c, Forall)
+             and not c.role.inverse and c.role.iri == role_iri]
+            + [(src, c.filler) for c in self.labels[dst] if isinstance(c, Forall)
+               and c.role.inverse and c.role.iri == role_iri])
 
     def neighbors(self, node: int, role: Role) -> Iterator[int]:
         adj = self.inc[node] if role.inverse else self.out[node]
@@ -169,7 +192,9 @@ class _Graph:
                 subtree.append(node)
         for node in subtree[1:]:
             self.delete(node)
-        for c in self.labels[source]:
+        # A snapshot: a ∀ copied onto the target crosses its edges, and
+        # one of them may lead back into the source.
+        for c in list(self.labels[source]):
             self.add(target, c)
         for dst, roles in self.out[source].items():
             for r in roles:
@@ -311,18 +336,22 @@ class Tableau:
         concepts = [c for _, c in extra_assertions] + ([probe] if probe is not None else [])
         mentioned = {o for c in concepts for o in concept_signature(c).objects}
         named += sorted(mentioned.difference(named), key=lambda i: i.value)
-        node_of = {
-            obj: graph.new_node(None, (Nominal(obj),) + self.internalized)
-            for obj in named
-        }
+        # Concepts before edges, and the extra assertions first: a
+        # refutation that clashes on an asserted concept then stops before
+        # the internalised concepts and the role assertions close the graph.
+        node_of = {obj: graph.new_node(None, (Nominal(obj),)) for obj in named}
+        for obj, concept in extra_assertions:
+            graph.add(node_of[obj], nnf(concept))
         for assertion in self.kb.abox:
             if isinstance(assertion, ConceptAssertion):
                 graph.add(node_of[assertion.obj], nnf(assertion.concept))
-            elif isinstance(assertion, RoleAssertion):
+        for node in node_of.values():
+            for c in self.internalized:
+                graph.add(node, c)
+        for assertion in self.kb.abox:
+            if isinstance(assertion, RoleAssertion):
                 graph.add_edge(node_of[assertion.subject], node_of[assertion.obj],
                                assertion.role.iri)
-        for obj, concept in extra_assertions:
-            graph.add(node_of[obj], nnf(concept))
         if probe is not None:
             graph.new_node(None, (nnf(probe),) + self.internalized)
         if not graph.labels:
@@ -338,12 +367,13 @@ class Tableau:
         return self._expand(self._initial_graph(probe, extra_assertions))
 
     def _expand(self, graph: _Graph) -> Optional[_Graph]:
-        # Deterministic rules run to quiescence before any choice point, and
-        # successors are generated before branching, so every branch starts
-        # from a fully propagated graph.  Disjunctions with at most one
-        # non-clashing side never branch.  A choice point pushes one graph
-        # per choice, the first on top; the last choice takes the graph
-        # itself, the others a copy.
+        # Merges and decided disjunctions run to quiescence before any
+        # choice point (unfolding, ⊓ and ∀ never wait), and successors are
+        # generated before branching, so every branch starts from a fully
+        # propagated graph.  Disjunctions with at most one non-clashing
+        # side never branch.  A choice point pushes one graph per choice,
+        # the first on top; the last choice takes the graph itself, the
+        # others a copy.
         pending = [graph]
         while pending:
             graph = pending.pop()
@@ -371,12 +401,6 @@ class Tableau:
                 graph.merge(*action)
                 continue
 
-            if self._apply_conjunctions(graph):
-                continue
-
-            if self._apply_foralls(graph):
-                continue
-
             branch = self._disjunction_action(graph)
             if branch is not None and len(branch[1]) <= 1:
                 node, choices = branch
@@ -402,20 +426,6 @@ class Tableau:
                     elif first != node:
                         return (first, node)
         return None
-
-    def _apply_conjunctions(self, graph: _Graph) -> bool:
-        changed = False
-        for node in graph.labels:
-            label = graph.labels[node]
-            # Snapshot: decompositions may enqueue further conjunctions,
-            # which the next sweep picks up.
-            for c in list(label):
-                if isinstance(c, And):
-                    changed |= graph.add(node, c.left)
-                    changed |= graph.add(node, c.right)
-                    if graph.clashed:
-                        return True
-        return changed
 
     def _disjunction_action(self, graph: _Graph) -> Optional[tuple[int, list[Concept]]]:
         """The next disjunction to apply: prefer ones decided by the current
@@ -462,17 +472,6 @@ class Tableau:
                         graph.add_edge(node, child, c.role.iri)
                     return True
         return False
-
-    def _apply_foralls(self, graph: _Graph) -> bool:
-        changed = False
-        for node in graph.labels:
-            for c in list(graph.labels[node]):
-                if isinstance(c, Forall):
-                    for y in graph.neighbors(node, c.role):
-                        changed |= graph.add(y, c.filler)
-                        if graph.clashed:
-                            return True
-        return changed
 
     # -- model extraction --------------------------------------------------
 

@@ -139,6 +139,18 @@ def test_a_merge_into_a_nominal_prunes_the_merged_subtree(monkeypatch):
     assert extension(_c(":A"), result.witness)
 
 
+def test_a_forall_crosses_into_a_node_while_it_is_merged():
+    # The r-successor holds {o1}, so it is merged into o1's node.  The ∀
+    # copied onto o1 crosses o1's edge to the successor, the very node
+    # whose label the merge is copying.
+    kb = _kb(":o1 Type :r some ({:o1} and :r only :D)\n")
+    r = Reasoner(kb)
+    assert r.is_consistent()
+    result = r.is_satisfiable(TOP)
+    assert result.satisfiable and verify_model(result.witness, kb)
+    assert r.entails_instance(iri("o1"), _c(":D"))
+
+
 # --- the answers, against the oracles ------------------------------------------
 
 _ATOMS = [Atomic(iri(n)) for n in "ABC"]
@@ -191,9 +203,15 @@ def test_absorbed_tableau_agrees_with_the_model_oracles(kb, probe):
     # A witness must be a model of the whole T-Box, absorbed or not; an
     # unsatisfiable answer must have no model at the sizes the exhaustive
     # search can cover (size 3 takes minutes when no model exists).
-    result = Reasoner(kb).is_satisfiable(probe)
+    reasoner = Reasoner(kb)
+    result = reasoner.is_satisfiable(probe)
     if result.satisfiable:
         assert verify_model(result.witness, kb)
         assert extension(probe, result.witness)
     else:
         assert bounded_model_search(kb, probe, 2) is None
+    # An entailed instance is a refutation run that found no model of the
+    # KB with :o1 outside the probe.
+    if reasoner.entails_instance(_OBJECTS[0], probe):
+        refuted = kb.extended(ConceptAssertion(_OBJECTS[0], Not(probe)))
+        assert bounded_model_search(refuted, TOP, 2) is None
