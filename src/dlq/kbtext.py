@@ -126,8 +126,12 @@ def _and_expr(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
 def _qual_expr(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
     # A name followed by a quantifier keyword is a role; otherwise fall
     # through to the unary level, where the same name is an atomic concept.
-    if ts.at_word("inv") or (_at_name(ts) and ts.peek(1).kind == "WORD"
-                             and ts.peek(1).text in ("some", "only")):
+    tok = ts.peek()
+    kind = tok.kind
+    if (kind == "WORD" and tok.text == "inv"
+            or (kind == "IRIREF" or kind == "PNAME")
+            and (after := ts.peek(1)).kind == "WORD"
+            and after.text in ("some", "only")):
         role = read_role(ts, prefixes)
         quant = ts.next()
         filler = _qual_expr(ts, prefixes)
@@ -140,31 +144,32 @@ def _qual_expr(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
 
 
 def _unary(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
-    if ts.at_word("not"):
+    tok = ts.peek()
+    kind, text = tok.kind, tok.text
+    if kind == "WORD":
+        if text == "not":
+            ts.next()
+            return Not(_unary(ts, prefixes))
+        if text == "Thing":
+            ts.next()
+            return TOP
+        if text == "Nothing":
+            ts.next()
+            return BOTTOM
+    elif kind == "PUNCT":
+        if text == "{":
+            ts.next()
+            obj = read_name(ts, prefixes)
+            ts.take_punct("}")
+            return Nominal(obj)
+        if text == "(":
+            ts.next()
+            c = _or_expr(ts, prefixes)
+            ts.take_punct(")")
+            return c
+    elif kind == "IRIREF" or kind == "PNAME":
         ts.next()
-        return Not(_unary(ts, prefixes))
-    return _atom(ts, prefixes)
-
-
-def _atom(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
-    if ts.at_word("Thing"):
-        ts.next()
-        return TOP
-    if ts.at_word("Nothing"):
-        ts.next()
-        return BOTTOM
-    if ts.at_punct("{"):
-        ts.next()
-        obj = read_name(ts, prefixes)
-        ts.take_punct("}")
-        return Nominal(obj)
-    if ts.at_punct("("):
-        ts.next()
-        c = _or_expr(ts, prefixes)
-        ts.take_punct(")")
-        return c
-    if _at_name(ts):
-        return Atomic(expand_name(ts.next(), prefixes))
+        return Atomic(expand_name(tok, prefixes))
     raise ts.error("expected a concept expression")
 
 

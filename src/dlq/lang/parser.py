@@ -79,30 +79,37 @@ _LEX = re.compile(
   | (?P<INT>      [0-9]+                  )
   | (?P<WORD>     [A-Za-z_][A-Za-z0-9_]*  )
   | (?P<PUNCT>    [(){}\[\],=.]           )
+  | (?P<BAD>      .                       )
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(text: str) -> list[Token]:
+    # The same tiling loop as ``lexing.tokenize``, except that newlines are
+    # not tokens and strings and back-quoted expressions can span lines.
     tokens: list[Token] = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _LEX.match(text, pos)
-        if m is None:
-            raise ParseError(line, col, f"unexpected character {text[pos]!r}")
+    append = tokens.append
+    line, origin = 1, -1  # a token's column is its offset minus ``origin``
+    for m in _LEX.finditer(text):
         kind = m.lastgroup
+        if kind == "WS" or kind == "COMMENT":
+            continue
+        start = m.start()
+        if kind == "NL":
+            line += 1
+            origin = start
+            continue
         value = m.group()
-        if kind not in ("WS", "COMMENT", "NL"):
-            tokens.append(Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
+        if kind == "BAD":
+            raise ParseError(line, start - origin, f"unexpected character {value!r}")
+        append(Token(kind, value, line, start - origin))
+        if kind == "STRING" or kind == "BACKTICK":
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                origin = start + value.rfind("\n")
+    append(Token("EOF", "", line, len(text) - origin))
     return tokens
 
 

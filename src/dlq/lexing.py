@@ -3,6 +3,15 @@
 Produces a flat token stream with 1-based line/column positions.  The same
 token shapes serve both surface languages; each parser simply rejects kinds
 it has no use for.
+
+The token regex ends in a catch-all ``BAD`` group that takes any one
+character no other group does, so ``finditer`` tiles the whole text in one
+pass and a ``BAD`` match is the unexpected character.  A token's column is
+its offset from the start of its line, so no token's length is measured.
+
+:class:`TokenStream` keeps the token under the cursor in an attribute that
+``next()`` advances; only ``peek(ahead)`` with a look-ahead indexes the
+token list.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ _TOKEN_RE = re.compile(
   | (?P<SPLICE>  \$[A-Za-z_][A-Za-z0-9_]*          )
   | (?P<WORD>    [A-Za-z_][A-Za-z0-9_\-]*          )
   | (?P<PUNCT>   [(){}\[\].]                       )
+  | (?P<BAD>     .                                 )
     """,
     re.VERBOSE,
 )
@@ -61,67 +71,70 @@ _TOKEN_RE = re.compile(
 def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
     """Tokenise ``text``; ``line``/``column`` offset positions for embedded input."""
     tokens: list[Token] = []
-    pos = 0
-    cur_line, cur_col = line, column
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(cur_line, cur_col, f"unexpected character {text[pos]!r}")
+    append = tokens.append
+    origin = -column  # a token's column is its offset minus ``origin``
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        assert kind is not None
-        value = m.group()
+        if kind == "WS" or kind == "COMMENT":
+            continue
+        start = m.start()
         if kind == "NL":
-            tokens.append(Token("NL", "\n", cur_line, cur_col))
-            cur_line += 1
-            cur_col = 1
+            append(Token("NL", "\n", line, start - origin))
+            line += 1
+            origin = start
+        elif kind == "BAD":
+            raise ParseError(line, start - origin, f"unexpected character {m.group()!r}")
         else:
-            if kind not in ("WS", "COMMENT"):
-                tokens.append(Token(kind, value, cur_line, cur_col))
-            cur_col += len(value)
-        pos = m.end()
-    tokens.append(Token("EOF", "", cur_line, cur_col))
+            append(Token(kind, m.group(), line, start - origin))
+    append(Token("EOF", "", line, len(text) - origin))
     return tokens
 
 
 class TokenStream:
-    """Cursor over a token list with lookahead and error helpers."""
+    """Cursor over a token list that ends in EOF, with lookahead and error
+    helpers."""
 
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._index = 0
+        self._current = tokens[0]
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self._index + ahead, len(self._tokens) - 1)
-        return self._tokens[i]
+        if not ahead:
+            return self._current
+        tokens = self._tokens
+        i = self._index + ahead
+        return tokens[i] if i < len(tokens) else tokens[-1]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self._current
         if tok.kind != "EOF":
             self._index += 1
+            self._current = self._tokens[self._index]
         return tok
 
     def at_word(self, *words: str) -> bool:
-        tok = self.peek()
+        tok = self._current
         return tok.kind == "WORD" and tok.text in words
 
     def at_punct(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self._current
         return tok.kind == "PUNCT" and tok.text == text
 
     def take_word(self, word: str) -> Token:
-        tok = self.peek()
+        tok = self._current
         if tok.kind != "WORD" or tok.text != word:
             raise self.error(f"expected {word!r}")
         return self.next()
 
     def take_punct(self, text: str) -> Token:
-        tok = self.peek()
+        tok = self._current
         if tok.kind != "PUNCT" or tok.text != text:
             raise self.error(f"expected {text!r}")
         return self.next()
 
     def skip_newlines(self) -> None:
-        while self.peek().kind == "NL":
+        while self._current.kind == "NL":
             self.next()
 
     def within_stack(self, parse: Callable[[], T], what: str) -> T:
@@ -133,6 +146,6 @@ class TokenStream:
             raise self.error(f"{what} nested too deeply") from None
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
+        tok = self._current
         found = "end of input" if tok.kind == "EOF" else repr(tok.text)
         return ParseError(tok.line, tok.column, f"{message}, found {found}")

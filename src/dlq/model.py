@@ -12,8 +12,12 @@ cache keys and be shared freely across threads.
 
 from __future__ import annotations
 
+import re
 from ._record import field, record
 from typing import Iterator, Mapping, Union
+
+# ``\s`` matches exactly the code points for which ``str.isspace`` holds.
+_find_space = re.compile(r"\s").search
 
 
 @record(frozen=True, slots=True)
@@ -25,7 +29,7 @@ class Iri:
     def __post_init__(self) -> None:
         if not self.value:
             raise ValueError("IRI must be non-empty")
-        if any(ch.isspace() for ch in self.value):
+        if _find_space(self.value):
             raise ValueError(f"IRI may not contain whitespace: {self.value!r}")
 
     def __str__(self) -> str:

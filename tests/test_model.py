@@ -46,6 +46,14 @@ class TestIri:
         with pytest.raises(ValueError):
             Iri("http://x/ y")
 
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\u3000", "\t", "\n"])
+    def test_rejects_every_unicode_space(self, space):
+        with pytest.raises(ValueError):
+            Iri(f"http://x/a{space}b")
+
+    def test_accepts_non_ascii_letters(self):
+        assert Iri("http://x/é").value == "http://x/é"
+
 
 class TestRoles:
     def test_double_inversion_cancels(self):
