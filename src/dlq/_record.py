@@ -19,8 +19,15 @@ one ``exec`` per class; the rest are closures over the field names.
   ``NotImplemented``.  A frozen record hashes as ``hash(tuple of fields)``.
   With ``eq=False``, equality and hash stay by identity.
 - ``frozen`` makes assignment and deletion raise
-  :class:`FrozenInstanceError`, an ``AttributeError``; ``__init__`` and
-  ``__post_init__`` set fields through ``object.__setattr__``.
+  :class:`FrozenInstanceError`, an ``AttributeError``.  ``__init__`` sets
+  the fields of a frozen slotted record that the class declares itself
+  through their slot descriptors' ``__set__``, bound once per class, and
+  any other field through ``object.__setattr__``, which is also how a
+  ``__post_init__`` rewrites a field.  A frozen exception still lets the
+  interpreter set the attributes it keeps on every exception
+  (``__traceback__``, ``__context__``, ``__cause__``,
+  ``__suppress_context__`` and ``__notes__``), so it can be raised
+  through a generator-based context manager and take ``add_note``.
 - ``slots`` rebuilds the class with ``__slots__`` for its own fields.
 
 A method written in the class body is never replaced.  There is no
@@ -33,6 +40,9 @@ __all__ = ["FrozenInstanceError", "field", "record"]
 
 _MISSING = object()
 _FACTORY = object()  # __init__ default of a field with a default_factory
+# What the interpreter and ``BaseException.add_note`` assign on exceptions.
+_EXCEPTION_ATTRIBUTES = frozenset(
+    {"__traceback__", "__context__", "__cause__", "__suppress_context__", "__notes__"})
 
 
 class FrozenInstanceError(AttributeError):
@@ -97,8 +107,13 @@ def _build(cls, frozen: bool, slots: bool, eq: bool):
             params.append(f"{name}=_default_{name}")
         else:
             params.append(name)
-        body.append(f"_setattr(self, {name!r}, {value})" if frozen
-                    else f"self.{name} = {value}")
+        if frozen and slots and name in own:
+            env[f"_set_{name}"] = cls.__dict__[name].__set__
+            body.append(f"_set_{name}(self, {value})")
+        elif frozen:
+            body.append(f"_setattr(self, {name!r}, {value})")
+        else:
+            body.append(f"self.{name} = {value}")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
 
@@ -136,13 +151,15 @@ def _repr(names: tuple[str, ...]):
 
 
 def _frozen(cls, names: tuple[str, ...]):
+    writable = _EXCEPTION_ATTRIBUTES if issubclass(cls, BaseException) else ()
+
     def __setattr__(self, name, value):
-        if type(self) is cls or name in names:
+        if (type(self) is cls or name in names) and name not in writable:
             raise FrozenInstanceError(f"cannot assign to field {name!r}")
         super(cls, self).__setattr__(name, value)
 
     def __delattr__(self, name):
-        if type(self) is cls or name in names:
+        if (type(self) is cls or name in names) and name not in writable:
             raise FrozenInstanceError(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
 

@@ -68,22 +68,37 @@ def expand_name(tok: Token, prefixes: Mapping[str, str]) -> Iri:
         if not value:
             raise ParseError(tok.line, tok.column, "empty IRI")
         return Iri(value)
-    if tok.kind == "PNAME":
-        alias, _, local = tok.text.partition(":")
-        if alias not in prefixes:
-            raise ParseError(tok.line, tok.column, f"unknown prefix {alias + ':'!r}")
-        return Iri(prefixes[alias] + local)
-    raise ParseError(tok.line, tok.column, f"expected a name, found {tok.text!r}")
-
-
-def _at_name(ts: TokenStream) -> bool:
-    return ts.peek().kind in ("IRIREF", "PNAME")
+    alias, _, local = tok.text.partition(":")
+    if alias not in prefixes:
+        raise ParseError(tok.line, tok.column, f"unknown prefix {alias + ':'!r}")
+    return Iri(prefixes[alias] + local)
 
 
 def read_name(ts: TokenStream, prefixes: Mapping[str, str]) -> Iri:
-    if not _at_name(ts):
+    """The IRI of the name token under the cursor (see :func:`_read_atomic`)."""
+    return _read_atomic(ts, prefixes).iri
+
+
+def _read_atomic(ts: TokenStream, prefixes: Mapping[str, str]) -> Atomic:
+    """The name token under the cursor as an atomic concept, resolved once
+    per stream.
+
+    ``ts.names`` keeps each name's ``Atomic`` by token text, so a name used
+    twice gives the same concept and the same ``Iri`` object.  That holds
+    as long as the stream is read against one prefix table that only grows,
+    which both documents with ``prefix`` declarations guarantee: an alias
+    cannot be declared twice.  A name that fails to resolve is not kept, so
+    each use reports its own position."""
+    tok = ts.peek()
+    kind = tok.kind
+    if kind != "PNAME" and kind != "IRIREF":
         raise ts.error("expected an IRI or prefixed name")
-    return expand_name(ts.next(), prefixes)
+    ts.next()
+    names = ts.names
+    c = names.get(tok.text)
+    if c is None:
+        c = names[tok.text] = Atomic(expand_name(tok, prefixes))
+    return c
 
 
 def read_role(ts: TokenStream, prefixes: Mapping[str, str]) -> Role:
@@ -98,10 +113,16 @@ def read_role(ts: TokenStream, prefixes: Mapping[str, str]) -> Role:
 
 
 def read_concept(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
-    """Parse one concept expression from the stream (stops at foreign tokens)."""
-    start = ts.peek()
-    c = ts.within_stack(lambda: _or_expr(ts, prefixes), "concept")
-    if concept_depth(c) > MAX_CONCEPT_DEPTH:
+    """Parse one concept expression from the stream (stops at foreign tokens).
+
+    Every constructor level owns at least one token of its own (a name,
+    ``not``, ``and``, ``or``, ``some``/``only``, ``{``, ``Thing`` or
+    ``Nothing``), so a concept read from at most ``MAX_CONCEPT_DEPTH``
+    tokens is within the depth limit, and only a longer one is walked."""
+    start, first = ts.peek(), ts.position
+    c = ts.within_stack(_or_expr, "concept", ts, prefixes)
+    if (ts.position - first > MAX_CONCEPT_DEPTH
+            and concept_depth(c) > MAX_CONCEPT_DEPTH):
         raise ParseError(start.line, start.column,
                          f"concept nested more than {MAX_CONCEPT_DEPTH} levels deep")
     return c
@@ -168,8 +189,7 @@ def _unary(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
             ts.take_punct(")")
             return c
     elif kind == "IRIREF" or kind == "PNAME":
-        ts.next()
-        return Atomic(expand_name(tok, prefixes))
+        return _read_atomic(ts, prefixes)
     raise ts.error("expected a concept expression")
 
 
@@ -227,19 +247,21 @@ def parse_kb(text: str) -> KnowledgeBase:
 
         start = ts.peek()
         left = read_concept(ts, prefixes)
-        if ts.at_word("SubClassOf"):
+        tok = ts.peek()
+        word = tok.text if tok.kind == "WORD" else ""
+        if word == "SubClassOf":
             ts.next()
             tbox.append(SubClass(left, read_concept(ts, prefixes)))
-        elif ts.at_word("EquivalentTo"):
+        elif word == "EquivalentTo":
             ts.next()
             tbox.append(Equivalent(left, read_concept(ts, prefixes)))
-        elif ts.at_word("Type"):
+        elif word == "Type":
             if not isinstance(left, Atomic):
                 raise ParseError(start.line, start.column,
                                  "left side of 'Type' must be an object name")
             ts.next()
             abox.append(ConceptAssertion(left.iri, read_concept(ts, prefixes)))
-        elif ts.at_word("Fact"):
+        elif word == "Fact":
             if not isinstance(left, Atomic):
                 raise ParseError(start.line, start.column,
                                  "left side of 'Fact' must be an object name")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from ..kbtext import expand_name, read_concept, read_role
+from ..kbtext import read_concept, read_name, read_role
 from ..lexing import ParseError, Token, TokenStream, tokenize as kb_tokenize
 from ..model import Concept, Role
 from ..query import parse_query
@@ -345,11 +345,7 @@ class _ProgramParser:
         if word == "iri":
             ts.next()
             ts.take_punct("(")
-            tok = ts.peek()
-            if tok.kind not in ("PNAME", "IRIREF"):
-                raise ts.error("expected an IRI or prefixed name")
-            ts.next()
-            iri = expand_name(tok, self.prefixes)
+            iri = read_name(ts, self.prefixes)
             ts.take_punct(")")
             ascription: Concept | None = None
             colon = ts.peek()

@@ -92,30 +92,37 @@ def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
 
 class TokenStream:
     """Cursor over a token list that ends in EOF, with lookahead and error
-    helpers."""
+    helpers.
+
+    ``position`` is the index of the token under the cursor, so the number
+    of tokens a reader consumed is the difference of two positions.
+    ``names`` is free for the parser that owns the stream to memoise what
+    it resolved a name token to, by the token's text, for the stream's
+    life."""
 
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
-        self._index = 0
+        self.position = 0
         self._current = tokens[0]
+        self.names: dict[str, object] = {}
 
     def peek(self, ahead: int = 0) -> Token:
         if not ahead:
             return self._current
         tokens = self._tokens
-        i = self._index + ahead
+        i = self.position + ahead
         return tokens[i] if i < len(tokens) else tokens[-1]
 
     def next(self) -> Token:
         tok = self._current
         if tok.kind != "EOF":
-            self._index += 1
-            self._current = self._tokens[self._index]
+            self.position += 1
+            self._current = self._tokens[self.position]
         return tok
 
-    def at_word(self, *words: str) -> bool:
+    def at_word(self, word: str) -> bool:
         tok = self._current
-        return tok.kind == "WORD" and tok.text in words
+        return tok.kind == "WORD" and tok.text == word
 
     def at_punct(self, text: str) -> bool:
         tok = self._current
@@ -137,11 +144,11 @@ class TokenStream:
         while self._current.kind == "NL":
             self.next()
 
-    def within_stack(self, parse: Callable[[], T], what: str) -> T:
-        """``parse()``; input nested deeper than the Python stack allows is
-        a syntax error at the token where the stack ran out."""
+    def within_stack(self, parse: Callable[..., T], what: str, *args) -> T:
+        """``parse(*args)``; input nested deeper than the Python stack allows
+        is a syntax error at the token where the stack ran out."""
         try:
-            return parse()
+            return parse(*args)
         except RecursionError:
             raise self.error(f"{what} nested too deeply") from None
 

@@ -276,17 +276,21 @@ def concept_depth(c: Concept) -> int:
 
 
 def nnf(c: Concept) -> Concept:
-    """Negation normal form: negation pushed onto atomic concepts and nominals."""
+    """Negation normal form: negation pushed onto atomic concepts and nominals.
+
+    A subtree already in negation normal form is returned as it is, not
+    rebuilt, so ``nnf(c) is c`` for any ``c`` in NNF, and a concept
+    normalised twice costs no allocation and no fresh hash."""
     if isinstance(c, (Top, Bottom, Atomic, Nominal)):
         return c
-    if isinstance(c, And):
-        return And(nnf(c.left), nnf(c.right))
-    if isinstance(c, Or):
-        return Or(nnf(c.left), nnf(c.right))
-    if isinstance(c, Exists):
-        return Exists(c.role, nnf(c.filler))
-    if isinstance(c, Forall):
-        return Forall(c.role, nnf(c.filler))
+    if isinstance(c, (And, Or)):
+        left, right = nnf(c.left), nnf(c.right)
+        if left is c.left and right is c.right:
+            return c
+        return c.__class__(left, right)
+    if isinstance(c, (Exists, Forall)):
+        filler = nnf(c.filler)
+        return c if filler is c.filler else c.__class__(c.role, filler)
     if isinstance(c, Not):
         inner = c.operand
         if isinstance(inner, Top):

@@ -28,7 +28,7 @@ from __future__ import annotations
 from ._record import record
 from typing import Iterator, Mapping, Union as TUnion
 
-from .kbtext import read_concept, expand_name
+from .kbtext import read_concept, read_name
 from .lexing import ParseError, TokenStream, tokenize
 from .model import Atomic, Concept, Iri, Role
 from .reasoner import Reasoner
@@ -295,7 +295,7 @@ class _QueryParser:
         else:
             if not (ts.peek().kind in ("IRIREF", "PNAME")):
                 raise ts.error("expected 'a' or a role IRI")
-            role = Role(expand_name(ts.next(), self.prefixes))
+            role = Role(read_name(ts, self.prefixes))
             obj = self.node()
             pattern = RolePattern(subject, role, obj)
         if all(isinstance(e, IriElem) for e in _pattern_elems(pattern)):
@@ -313,7 +313,7 @@ class _QueryParser:
             ts.next()
             return SpliceElem(tok.text[1:])
         if tok.kind in ("IRIREF", "PNAME"):
-            return IriElem(expand_name(ts.next(), self.prefixes))
+            return IriElem(read_name(ts, self.prefixes))
         raise ts.error("expected ?variable, $splice or IRI")
 
     def concept_ref(self) -> Concept:
@@ -324,7 +324,7 @@ class _QueryParser:
             ts.take_punct("]")
             return concept
         if ts.peek().kind in ("IRIREF", "PNAME"):
-            return Atomic(expand_name(ts.next(), self.prefixes))
+            return Atomic(read_name(ts, self.prefixes))
         raise ts.error("expected a concept IRI or [ concept expression ]")
 
 

@@ -301,7 +301,7 @@ def _implies(conjuncts: list[Concept], sup: Concept) -> Concept:
         x = And(x, c)
     if isinstance(sup, Bottom):
         return negated(x)
-    return nnf(Or(Not(x), sup))
+    return Or(negated(x), sup)
 
 
 class Tableau:

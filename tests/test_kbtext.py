@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import pathlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from dlq.kbtext import (
+    MAX_CONCEPT_DEPTH,
     ParseError,
     parse_concept,
     parse_kb,
@@ -27,8 +30,11 @@ from dlq.model import (
     RoleAssertion,
     SubClass,
     TOP,
+    concept_depth,
 )
 from support import EX, concept_strategy, iri
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 P = {"": EX}
 A, B, C = Atomic(iri("A")), Atomic(iri("B")), Atomic(iri("C"))
@@ -73,6 +79,107 @@ class TestParseConcept:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_concept(":A :B", P)
+
+
+@st.composite
+def deep_concepts(draw):
+    """Concepts 95 to 105 levels deep: a spine of unary steps and binary
+    steps with a shallow sibling, read from about one token per level (a
+    ``not`` chain) up to several (quantifiers, parenthesised siblings)."""
+    depth = draw(st.integers(95, 105))
+    steps = st.sampled_from(["not"]) if draw(st.booleans()) else \
+        st.sampled_from(["not", "some", "only", "and", "or", "and-right"])
+    siblings = st.sampled_from([B, TOP, Nominal(iri("o")), Or(B, C),
+                                Exists(Role(iri("s"), True), Not(C))])
+    c = draw(st.sampled_from([A, TOP, BOTTOM, Nominal(iri("o"))]))
+    for i in range(depth - 1):
+        # No sibling is deeper than the spine under it.
+        step = draw(steps if i >= 2 else st.sampled_from(["not", "some", "only"]))
+        if step == "not":
+            c = Not(c)
+        elif step in ("some", "only"):
+            c = (Exists if step == "some" else Forall)(Role(iri("r")), c)
+        else:
+            sibling = draw(siblings)
+            if step == "and-right":
+                c = And(sibling, c)
+            else:
+                c = (And if step == "and" else Or)(c, sibling)
+    assert concept_depth(c) == depth
+    return c
+
+
+class TestDepthLimit:
+    @settings(max_examples=150, deadline=None)
+    @given(deep_concepts())
+    def test_refused_exactly_past_the_limit(self, c):
+        text = print_concept(c, P)
+        if concept_depth(c) > MAX_CONCEPT_DEPTH:
+            with pytest.raises(ParseError) as err:
+                parse_concept(text, P)
+            assert (err.value.line, err.value.column) == (1, 1)
+            assert err.value.message == "concept nested more than 100 levels deep"
+        else:
+            assert parse_concept(text, P) == c
+
+    def test_a_long_shallow_concept_is_read(self):
+        c = A
+        for _ in range(8):
+            c = And(Or(c, B), Or(C, c))
+        text = print_concept(c, P)
+        assert concept_depth(c) == 17 and len(text.split()) > 1000
+        assert parse_concept(text, P) == c
+
+
+def _iris(kb: KnowledgeBase) -> list:
+    """Every Iri object a knowledge base holds, repeats included."""
+    out = []
+    stack = [c for g in kb.gcis() for c in (g.sub, g.sup)]
+    for assertion in kb.abox:
+        if isinstance(assertion, ConceptAssertion):
+            out.append(assertion.obj)
+            stack.append(assertion.concept)
+        else:
+            out += [assertion.subject, assertion.role.iri, assertion.obj]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Atomic):
+            out.append(c.iri)
+        elif isinstance(c, Nominal):
+            out.append(c.obj)
+        elif isinstance(c, (Exists, Forall)):
+            out.append(c.role.iri)
+            stack.append(c.filler)
+        elif isinstance(c, Not):
+            stack.append(c.operand)
+        elif isinstance(c, (And, Or)):
+            stack += [c.left, c.right]
+    return out
+
+
+class TestNamesResolveOnce:
+    @pytest.mark.parametrize("name", ["university.kb", "university_extended.kb"])
+    def test_one_iri_object_per_distinct_name(self, name):
+        iris = _iris(parse_kb((FIXTURES / name).read_text()))
+        assert len(iris) > len(set(iris))
+        assert len({id(i) for i in iris}) == len(set(iris))
+
+    def test_an_iri_ref_and_a_prefixed_name_give_equal_iris(self):
+        kb = parse_kb(f"prefix : <{EX}>\n:a Fact :r <{EX}a>\n<{EX}a> Type :A\n")
+        assert kb.abox == (RoleAssertion(iri("a"), Role(iri("r")), iri("a")),
+                           ConceptAssertion(iri("a"), A))
+
+    def test_an_unknown_prefix_used_twice_reports_the_first_use(self):
+        with pytest.raises(ParseError) as err:
+            parse_kb(f"prefix : <{EX}>\n:A SubClassOf :B and foo:C\n"
+                     f"foo:C SubClassOf :A\n")
+        assert (err.value.line, err.value.column) == (2, 22)
+        assert err.value.message == "unknown prefix 'foo:'"
+
+    def test_a_name_before_its_prefix_is_an_error_at_that_name(self):
+        with pytest.raises(ParseError) as err:
+            parse_kb(f"prefix : <{EX}>\n:A SubClassOf ex:B\nprefix ex: <{EX}>\n")
+        assert (err.value.line, err.value.column) == (2, 15)
 
 
 class TestParseRole:

@@ -96,10 +96,31 @@ class TestNnf:
         once = nnf(c)
         assert nnf(once) == once
 
+    @given(concept_strategy(with_nominals=True))
+    def test_keeps_a_concept_already_in_normal_form(self, c):
+        once = nnf(c)
+        assert nnf(once) == once and nnf(once) is once
+        if _in_nnf(c):
+            assert nnf(c) is c
+
+    def test_rebuilds_only_the_path_to_a_negation(self):
+        kept = Exists(R, And(A, Not(B)))
+        c = And(kept, Not(Or(A, B)))
+        got = nnf(c)
+        assert got == And(kept, And(Not(A), Not(B)))
+        assert got.left is kept
+
     @settings(max_examples=40, deadline=None)
     @given(concept_strategy())
     def test_preserves_extensions_in_every_small_interpretation(self, c):
         assert extensions_equal_everywhere(c, nnf(c), max_size=3)
+
+
+def _in_nnf(c) -> bool:
+    if isinstance(c, Not):
+        return isinstance(c.operand, (Atomic, Nominal))
+    return all(_in_nnf(getattr(c, attr)) for attr in ("left", "right", "filler")
+               if hasattr(c, attr))
 
 
 class TestStructuralEquality:

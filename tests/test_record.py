@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -103,6 +104,53 @@ class TestIdentityRecords:
             Ref((1, 1), "x")
 
 
+class TestSlotDescriptors:
+    """Frozen slotted records set their own fields through the slots'
+    descriptors and inherited ones through ``object.__setattr__``."""
+
+    @record(frozen=True, slots=True)
+    class Base:
+        x: int
+
+    @record(frozen=True, slots=True)
+    class Sub(Base):
+        y: str
+        z: tuple = ()
+
+    @record(frozen=True, slots=True)
+    class Span:
+        lo: int
+        hi: int
+
+        def __post_init__(self) -> None:
+            if self.lo > self.hi:
+                lo, hi = self.hi, self.lo
+                object.__setattr__(self, "lo", lo)
+                object.__setattr__(self, "hi", hi)
+
+    def test_a_subclass_sets_inherited_and_own_fields(self):
+        s = self.Sub(1, "a")
+        assert (s.x, s.y, s.z) == (1, "a", ())
+        assert self.Sub.__slots__ == ("y", "z")
+        assert not hasattr(s, "__dict__")
+        assert s == self.Sub(1, "a") != self.Sub(2, "a")
+        assert hash(s) == hash((1, "a", ()))
+        assert repr(s) == "TestSlotDescriptors.Sub(x=1, y='a', z=())"
+
+    def test_post_init_rewrites_fields(self):
+        assert (self.Span(5, 2).lo, self.Span(5, 2).hi) == (2, 5)
+        assert self.Span(5, 2) == self.Span(2, 5)
+
+    @pytest.mark.parametrize("name", ["x", "y", "z"])
+    def test_assignment_and_deletion_raise(self, name):
+        s = self.Sub(1, "a")
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field {name!r}"):
+            setattr(s, name, 0)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field {name!r}"):
+            delattr(s, name)
+        assert (s.x, s.y, s.z) == (1, "a", ())
+
+
 def test_exception_records_raise_with_their_fields():
     with pytest.raises(ParseError) as exc:
         raise ParseError(3, 7, "unexpected token")
@@ -126,3 +174,46 @@ def test_methods_written_in_the_body_are_kept():
     assert repr(Point(1)) == "point"
     assert hash(Point(1, 2)) == 1
     assert Point(1, 2) == Point(1, 2) != Point(1, 3)
+
+
+class TestFrozenExceptions:
+    """The interpreter's own attributes of an exception stay writable."""
+
+    def test_raised_through_a_context_manager_it_stays_itself(self):
+        @contextlib.contextmanager
+        def scope():
+            yield
+
+        with pytest.raises(ParseError) as exc:
+            with scope():
+                raise ParseError(1, 2, "inside")
+        assert exc.value == ParseError(1, 2, "inside")
+        assert exc.value.__traceback__ is not None
+
+    def test_chaining_and_notes(self):
+        try:
+            try:
+                raise ValueError("first")
+            except ValueError as cause:
+                raise ParseError(1, 1, "second") from cause
+        except ParseError as err:
+            assert isinstance(err.__cause__, ValueError)
+            assert err.__suppress_context__
+            err.__notes__ = ["a note"]
+            assert err.__notes__ == ["a note"]
+            del err.__notes__
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="add_note is new in 3.11")
+    def test_add_note(self):
+        err = ParseError(1, 1, "m")
+        err.add_note("x")
+        assert err.__notes__ == ["x"]
+
+    def test_fields_stay_frozen(self):
+        err = ParseError(1, 1, "m")
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'line'"):
+            err.line = 2
+        with pytest.raises(FrozenInstanceError):
+            del err.message
+        with pytest.raises(FrozenInstanceError):
+            err.other = 1
