@@ -31,7 +31,6 @@ from .query import (
     Optional,
     Pattern,
     Query,
-    QueryPattern,
     SolutionMapping,
     SpliceElem,
     Union,
@@ -47,7 +46,7 @@ __all__ = ["ResultTable", "eval_algebraic", "project", "table_to_json"]
 _EMPTY = SolutionMapping(())
 
 
-def _eval_pattern(r: Reasoner, p: QueryPattern) -> frozenset[SolutionMapping]:
+def _eval_pattern(r: Reasoner, p: Pattern) -> frozenset[SolutionMapping]:
     if isinstance(p, ConceptPattern):
         if isinstance(p.elem, IriElem):
             entailed = r.entails_instance(p.elem.iri, p.concept)
@@ -102,7 +101,7 @@ def _merge_all(
 def eval_algebraic(r: Reasoner, q: Query) -> frozenset[SolutionMapping]:
     """Certain answers of ``q``, equal to ``denotational_eval`` on every query."""
     if isinstance(q, Pattern):
-        return _eval_pattern(r, q.pattern)
+        return _eval_pattern(r, q)
     if isinstance(q, Join):
         return _merge_all(eval_algebraic(r, q.left), eval_algebraic(r, q.right))
     if isinstance(q, Union):

@@ -8,6 +8,9 @@ mutual *references*, placeholders resolved after the walk).  Joins
 intersect the constraints of shared variables, unions and optionals
 weaken them, MINUS contributes nothing from its right side.
 
+A typing is a plain mapping from variables to concepts
+(:class:`VariableTyping`, a ``dict``).
+
 Validation replaces every splice by a fresh variable, infers and resolves
 the typing, requires every variable's concept to be satisfiable, and then
 checks the declared splice types: non-strict demands a satisfiable
@@ -25,9 +28,7 @@ from .model import (
     And,
     Concept,
     Exists,
-    Forall,
     Nominal,
-    Not,
     Or,
     Role,
     TOP,
@@ -39,8 +40,6 @@ from .query import (
     Optional,
     Pattern,
     Query,
-    QueryPattern,
-    RolePattern,
     SelectQuery,
     SpliceElem,
     Union,
@@ -74,30 +73,15 @@ class VarRef:
 InfConcept = TUnion[Concept, VarRef]
 
 
-@record(frozen=True)
-class VariableTyping:
+class VariableTyping(dict):
     """The inferred map from query variables to concept expressions."""
-
-    bindings: Mapping[Var, InfConcept]
-
-    def __contains__(self, var: Var) -> bool:
-        return var in self.bindings
-
-    def __getitem__(self, var: Var) -> InfConcept:
-        return self.bindings[var]
-
-    def get(self, var: Var, default=None):
-        return self.bindings.get(var, default)
 
     @property
     def domain(self) -> frozenset[Var]:
-        return frozenset(self.bindings)
-
-    def items(self):
-        return self.bindings.items()
+        return frozenset(self)
 
 
-def infer_pattern(p: QueryPattern) -> VariableTyping:
+def infer_pattern(p: Pattern) -> VariableTyping:
     """Base constraints of a single pattern (splices already freshened)."""
     if isinstance(p, ConceptPattern):
         if isinstance(p.elem, SpliceElem):
@@ -143,7 +127,7 @@ def combine(p1: VariableTyping, p2: VariableTyping, connective: str) -> Variable
 def infer_query(q: Query) -> VariableTyping:
     """Structural inference over the algebra (references unresolved)."""
     if isinstance(q, Pattern):
-        return infer_pattern(q.pattern)
+        return infer_pattern(q)
     if isinstance(q, Join):
         return combine(infer_query(q.left), infer_query(q.right), "and")
     if isinstance(q, Union):
@@ -177,16 +161,10 @@ def resolve_references(
             if c.var in path or c.var not in phi:
                 return Exists(c.role, TOP)
             return Exists(c.role, expand(phi[c.var], path | {c.var}))
-        if isinstance(c, Not):
-            return Not(expand(c.operand, path))
-        if isinstance(c, And):
-            return And(expand(c.left, path), expand(c.right, path))
-        if isinstance(c, Or):
-            return Or(expand(c.left, path), expand(c.right, path))
-        if isinstance(c, Exists):
-            return Exists(c.role, expand(c.filler, path))
-        if isinstance(c, Forall):
-            return Forall(c.role, expand(c.filler, path))
+        # References sit only in the conjunctions and disjunctions that
+        # ``infer_pattern`` and ``combine`` build.
+        if isinstance(c, (And, Or)):
+            return type(c)(expand(c.left, path), expand(c.right, path))
         return c
 
     resolved = {
@@ -306,7 +284,7 @@ def validate_query(
     else:
         final = phi
     return Valid(
-        variable_concepts=dict(final.items()),
+        variable_concepts=final,
         splice_concepts={s: final.get(fresh[s], splice_types[s]) for s in sq.splices},
         splice_vars=fresh,
     )
@@ -316,15 +294,13 @@ def type_role_projection(
     r: Reasoner, subject_type: Concept, role: Role
 ) -> TUnion[Concept, Unsatisfiable, SpliceMismatch]:
     """The result concept of projecting ``role`` from a subject of the given
-    type: strict validation of the one-pattern query (subject, ?x) : role.
+    type: strict validation of :meth:`SelectQuery.projection`.
 
     Succeeds exactly when the subject type provably has the role, and then
     yields an inverse quantification over the subject type."""
-    out_var = Var("x")
-    body = Pattern(RolePattern(SpliceElem("subject"), role, VarElem(out_var)))
-    sq = SelectQuery.build((out_var,), body)
+    sq = SelectQuery.projection(role)
     outcome = validate_query(r, sq, {"subject": subject_type}, "strict")
     if isinstance(outcome, Valid):
-        return outcome.variable_concepts[out_var]
+        return outcome.variable_concepts[sq.select_vars[0]]
     assert isinstance(outcome, (Unsatisfiable, SpliceMismatch))
     return outcome

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from .lexing import ParseError, Token, TokenStream, tokenize
+from .lexing import ParseError, Token, TokenStream, fragment, tokenize
 from .model import (
     And,
     Atomic,
@@ -195,21 +195,17 @@ def _unary(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
 
 def parse_concept(text: str, prefixes: Mapping[str, str]) -> Concept:
     """Parse a standalone concept expression (newlines treated as spaces)."""
-    tokens = [t for t in tokenize(text) if t.kind != "NL"]
-    ts = TokenStream(tokens)
+    ts = fragment(text)
     c = read_concept(ts, prefixes)
-    if ts.peek().kind != "EOF":
-        raise ts.error("trailing input after concept")
+    ts.end("trailing input after concept")
     return c
 
 
 def parse_role(text: str, prefixes: Mapping[str, str]) -> Role:
     """Parse a standalone role expression (a name or ``inv(name)``)."""
-    tokens = [t for t in tokenize(text) if t.kind != "NL"]
-    ts = TokenStream(tokens)
+    ts = fragment(text)
     role = read_role(ts, prefixes)
-    if ts.peek().kind != "EOF":
-        raise ts.error("trailing input after role")
+    ts.end("trailing input after role")
     return role
 
 

@@ -3,9 +3,10 @@
 Queries reduce by substituting the spliced values as constants, asking the
 algebraic evaluator for certain answers and materialising the projected
 table as a list (of tuples, for two or more selected variables) in table
-order.  A role projection runs as the equivalent one-pattern query on its
-subject.  Match tries its cases in order, taking the first whose concept
-provably contains the scrutinee, else the default branch.
+order.  A role projection runs :meth:`~dlq.query.SelectQuery.projection`
+with its subject spliced in.  Match tries its cases in order, taking the
+first whose concept provably contains the scrutinee, else the default
+branch.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..algebra import eval_algebraic, project
-from ..query import IriElem, Pattern, RolePattern, SelectQuery, Var, VarElem, \
-    substitute_splices
+from ..query import IriElem, SelectQuery, substitute_splices
 from ..reasoner import Reasoner
 from .syntax import (
     BoolVal,
@@ -91,12 +91,8 @@ class _Interp:
         if isinstance(t, QueryTerm):
             return self._run_select(t.query, env, t.pos)
         if isinstance(t, RoleProj):
-            subject = self.eval(t.subject, env)
-            assert isinstance(subject, IriVal)
-            out = Var("x")
-            sq = SelectQuery.build(
-                (out,), Pattern(RolePattern(IriElem(subject.iri), t.role, VarElem(out))))
-            return self._run_select(sq, env, t.pos)
+            return self._run_select(SelectQuery.projection(t.role),
+                                    {"subject": self.eval(t.subject, env)}, t.pos)
         if isinstance(t, Match):
             subject = self.eval(t.subject, env)
             assert isinstance(subject, IriVal)

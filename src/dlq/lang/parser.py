@@ -21,6 +21,10 @@ errors (unbound variables, unknown definitions, splices with no matching
 variable) are reported at parse time, as are syntax errors inside
 embedded queries and back-quoted concepts, with positions in the
 enclosing file.
+
+Programs are tokenised by :func:`dlq.lexing.fragment` with this module's
+token regex: newlines are blanks, and a string or back-quoted expression
+may span lines.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import re
 
 from ..kbtext import read_concept, read_name, read_role
-from ..lexing import ParseError, Token, TokenStream, tokenize as kb_tokenize
+from ..lexing import ParseError, Token, fragment
 from ..model import Concept, Role
 from ..query import parse_query
 from .syntax import (
@@ -85,37 +89,9 @@ _LEX = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[Token]:
-    # The same tiling loop as ``lexing.tokenize``, except that newlines are
-    # not tokens and strings and back-quoted expressions can span lines.
-    tokens: list[Token] = []
-    append = tokens.append
-    line, origin = 1, -1  # a token's column is its offset minus ``origin``
-    for m in _LEX.finditer(text):
-        kind = m.lastgroup
-        if kind == "WS" or kind == "COMMENT":
-            continue
-        start = m.start()
-        if kind == "NL":
-            line += 1
-            origin = start
-            continue
-        value = m.group()
-        if kind == "BAD":
-            raise ParseError(line, start - origin, f"unexpected character {value!r}")
-        append(Token(kind, value, line, start - origin))
-        if kind == "STRING" or kind == "BACKTICK":
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                origin = start + value.rfind("\n")
-    append(Token("EOF", "", line, len(text) - origin))
-    return tokens
-
-
 class _ProgramParser:
     def __init__(self, text: str) -> None:
-        self.ts = TokenStream(_tokenize(text))
+        self.ts = fragment(text, pattern=_LEX)
         self.prefixes: dict[str, str] = {}
 
     # -- helpers ----------------------------------------------------------
@@ -138,13 +114,9 @@ class _ProgramParser:
     def _embedded(self, tok: Token, reader) -> object:
         """Parse the contents of a back-quoted token with kb-text rules,
         positions mapped into this file."""
-        inner = tok.text[1:-1]
-        tokens = [t for t in kb_tokenize(inner, tok.line, tok.column + 1)
-                  if t.kind != "NL"]
-        ts = TokenStream(tokens)
+        ts = fragment(tok.text[1:-1], tok.line, tok.column + 1)
         result = reader(ts, self.prefixes)
-        if ts.peek().kind != "EOF":
-            raise ts.error("trailing input in back-quoted expression")
+        ts.end("trailing input in back-quoted expression")
         return result
 
     def _backtick_concept(self) -> Concept:

@@ -92,7 +92,8 @@ def subtype(r: Reasoner, t1: LangType, t2: LangType) -> bool:
     return isinstance(t1, BoolType) and isinstance(t2, BoolType)
 
 
-def lub(t1: LangType, t2: LangType, pos: Pos = (0, 0)) -> LangType:
+def lub(t1: LangType, t2: LangType, pos: Pos = (0, 0),
+        prefixes: Mapping[str, str] | None = None) -> LangType:
     """Least upper bound: concept types take their (syntactic) union,
     lists and tuples recurse; incompatible shapes are a type error."""
     if isinstance(t1, ConceptType) and isinstance(t2, ConceptType):
@@ -100,17 +101,18 @@ def lub(t1: LangType, t2: LangType, pos: Pos = (0, 0)) -> LangType:
             return t1
         return ConceptType(Or(t1.concept, t2.concept))
     if isinstance(t1, ListType) and isinstance(t2, ListType):
-        return ListType(lub(t1.elem, t2.elem, pos))
+        return ListType(lub(t1.elem, t2.elem, pos, prefixes))
     if isinstance(t1, TupleType) and isinstance(t2, TupleType) \
             and len(t1.items) == len(t2.items):
         return TupleType(tuple(
-            lub(a, b, pos) for a, b in zip(t1.items, t2.items)
+            lub(a, b, pos, prefixes) for a, b in zip(t1.items, t2.items)
         ))
     if isinstance(t1, BoolType) and isinstance(t2, BoolType):
         return BOOL
     raise LangTypeError(
         "E-SUB", pos,
-        f"branches have incompatible shapes: {type_name(t1)} vs {type_name(t2)}")
+        f"branches have incompatible shapes: {type_name(t1, prefixes)} vs "
+        f"{type_name(t2, prefixes)}")
 
 
 class _Checker:
@@ -222,7 +224,12 @@ class _Checker:
         if isinstance(t, RoleProj):
             subject_type = self.infer(t.subject, env)
             concept = self._concept_of(t.subject, subject_type, "role projection subject")
-            result = type_role_projection_checked(self.r, concept, t, self.p)
+            result = type_role_projection(self.r, concept, t.role)
+            if not isinstance(result, Concept):
+                raise LangTypeError(
+                    "E-ACCESS", t.pos,
+                    f"role {print_role(t.role, self.p)} is not known to exist for "
+                    f"`{print_concept(concept, self.p)}`")
             return ListType(ConceptType(result))
 
         if isinstance(t, Match):
@@ -234,10 +241,10 @@ class _Checker:
                 branch_env[case.binder] = ConceptType(case.concept)
                 branch_type = self.infer(case.body, branch_env)
                 result = branch_type if result is None \
-                    else lub(result, branch_type, t.pos)
+                    else lub(result, branch_type, t.pos, self.p)
             default_type = self.infer(t.default, env)
             return default_type if result is None \
-                else lub(result, default_type, t.pos)
+                else lub(result, default_type, t.pos, self.p)
 
         if isinstance(t, If):
             cond = self.infer(t.cond, env)
@@ -245,7 +252,7 @@ class _Checker:
                 raise LangTypeError(
                     "E-SUB", t.cond.pos,
                     f"condition must be Bool, got {type_name(cond, self.p)}")
-            return lub(self.infer(t.then, env), self.infer(t.orelse, env), t.pos)
+            return lub(self.infer(t.then, env), self.infer(t.orelse, env), t.pos, self.p)
 
         if isinstance(t, Let):
             value_type = self.infer(t.value, env)
@@ -284,19 +291,6 @@ class _Checker:
                 "E-SUB", arg.pos,
                 f"expected a list, got {type_name(ty, self.p)}")
         return ty
-
-
-def type_role_projection_checked(
-    r: Reasoner, subject: Concept, t: RoleProj,
-    prefixes: Mapping[str, str] | None = None,
-) -> Concept:
-    result = type_role_projection(r, subject, t.role)
-    if isinstance(result, Concept):
-        return result
-    raise LangTypeError(
-        "E-ACCESS", t.pos,
-        f"role {print_role(t.role, prefixes)} is not known to exist for "
-        f"`{print_concept(subject, prefixes)}`")
 
 
 def typecheck(r: Reasoner, program: Program, mode: str = FULL) -> dict[Term, LangType]:

@@ -1,13 +1,21 @@
-"""Tokeniser shared by the knowledge-base and query parsers.
+"""Tokeniser shared by the knowledge-base, query and program parsers.
 
-Produces a flat token stream with 1-based line/column positions.  The same
-token shapes serve both surface languages; each parser simply rejects kinds
-it has no use for.
+Produces a flat token stream with 1-based line/column positions.  One
+tiling loop serves both grammars: :func:`tokenize` takes the token regex,
+which is the only thing the knowledge-base/query lexer and the program
+lexer (``dlq.lang.parser``) differ in.  The same token shapes serve the
+knowledge-base and query languages; each parser simply rejects kinds it
+has no use for.
 
-The token regex ends in a catch-all ``BAD`` group that takes any one
+A token regex ends in a catch-all ``BAD`` group that takes any one
 character no other group does, so ``finditer`` tiles the whole text in one
 pass and a ``BAD`` match is the unexpected character.  A token's column is
 its offset from the start of its line, so no token's length is measured.
+A newline is an ``NL`` token, which the statement-per-line knowledge-base
+grammar reads; :func:`fragment` drops them for the grammars that treat
+newlines as blanks.  A token other than ``NL`` may span lines (a program's
+strings and back-quoted expressions do): the position then moves past its
+last newline.
 
 :class:`TokenStream` keeps the token under the cursor in an attribute that
 ``next()`` advances; only ``peek(ahead)`` with a look-ahead indexes the
@@ -68,12 +76,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
-    """Tokenise ``text``; ``line``/``column`` offset positions for embedded input."""
+def tokenize(text: str, line: int = 1, column: int = 1,
+             pattern: re.Pattern = _TOKEN_RE) -> list[Token]:
+    """Tokenise ``text`` with the token regex ``pattern``; ``line``/``column``
+    offset positions for embedded input."""
     tokens: list[Token] = []
     append = tokens.append
     origin = -column  # a token's column is its offset minus ``origin``
-    for m in _TOKEN_RE.finditer(text):
+    for m in pattern.finditer(text):
         kind = m.lastgroup
         if kind == "WS" or kind == "COMMENT":
             continue
@@ -85,9 +95,22 @@ def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
         elif kind == "BAD":
             raise ParseError(line, start - origin, f"unexpected character {m.group()!r}")
         else:
-            append(Token(kind, m.group(), line, start - origin))
+            value = m.group()
+            append(Token(kind, value, line, start - origin))
+            if "\n" in value:
+                line += value.count("\n")
+                origin = start + value.rfind("\n")
     append(Token("EOF", "", line, len(text) - origin))
     return tokens
+
+
+def fragment(text: str, line: int = 1, column: int = 1,
+             pattern: re.Pattern = _TOKEN_RE) -> TokenStream:
+    """A stream over the tokens of ``text`` without its ``NL`` tokens, for
+    the grammars in which a newline is a blank: a concept, role or query,
+    a back-quoted expression, a program."""
+    return TokenStream([t for t in tokenize(text, line, column, pattern)
+                        if t.kind != "NL"])
 
 
 class TokenStream:
@@ -139,6 +162,11 @@ class TokenStream:
         if tok.kind != "PUNCT" or tok.text != text:
             raise self.error(f"expected {text!r}")
         return self.next()
+
+    def end(self, message: str) -> None:
+        """Raise ``message`` as a syntax error unless the cursor is at EOF."""
+        if self._current.kind != "EOF":
+            raise self.error(message)
 
     def skip_newlines(self) -> None:
         while self._current.kind == "NL":

@@ -2,7 +2,8 @@
 parser, and brute-force certain-answer semantics.
 
 A query is a tree of concept/role patterns combined with join, UNION,
-MINUS and OPTIONAL.  Answers are partial mappings from variables to named
+MINUS and OPTIONAL; the patterns are the tree's leaves, query nodes
+themselves.  Answers are partial mappings from variables to named
 objects that the knowledge base *entails* to match (certain answers under
 the open world, not mere graph matches).
 
@@ -29,14 +30,14 @@ from ._record import record
 from typing import Iterator, Mapping, Union as TUnion
 
 from .kbtext import read_concept, read_name
-from .lexing import ParseError, TokenStream, tokenize
+from .lexing import ParseError, TokenStream, fragment
 from .model import Atomic, Concept, Iri, Role
 from .reasoner import Reasoner
 
 __all__ = [
     "Var", "VarElem", "IriElem", "SpliceElem", "PatternElem",
-    "ConceptPattern", "RolePattern", "QueryPattern",
-    "Pattern", "Join", "Union", "Minus", "Optional", "Query",
+    "ConceptPattern", "RolePattern", "Pattern",
+    "Join", "Union", "Minus", "Optional", "Query",
     "SelectQuery", "SolutionMapping",
     "query_vars", "substitute_splices",
     "parse_query", "satisfies", "solves", "all_partial_mappings",
@@ -67,29 +68,25 @@ class SpliceElem:
 PatternElem = TUnion[VarElem, IriElem, SpliceElem]
 
 
+class Query:
+    """Base class for query algebra nodes."""
+
+
+class Pattern(Query):
+    """Base class for the leaves: a concept or a role pattern."""
+
+
 @record(frozen=True, slots=True)
-class ConceptPattern:
+class ConceptPattern(Pattern):
     elem: PatternElem
     concept: Concept
 
 
 @record(frozen=True, slots=True)
-class RolePattern:
+class RolePattern(Pattern):
     subject: PatternElem
     role: Role
     obj: PatternElem
-
-
-QueryPattern = TUnion[ConceptPattern, RolePattern]
-
-
-class Query:
-    """Base class for query algebra nodes."""
-
-
-@record(frozen=True)
-class Pattern(Query):
-    pattern: QueryPattern
 
 
 @record(frozen=True)
@@ -116,7 +113,7 @@ class Optional(Query):
     right: Query
 
 
-def _pattern_elems(p: QueryPattern) -> tuple[PatternElem, ...]:
+def _pattern_elems(p: Pattern) -> tuple[PatternElem, ...]:
     if isinstance(p, ConceptPattern):
         return (p.elem,)
     return (p.subject, p.obj)
@@ -125,7 +122,7 @@ def _pattern_elems(p: QueryPattern) -> tuple[PatternElem, ...]:
 def query_vars(q: Query) -> frozenset[Var]:
     """All variables occurring syntactically in the query."""
     if isinstance(q, Pattern):
-        return frozenset(e.var for e in _pattern_elems(q.pattern)
+        return frozenset(e.var for e in _pattern_elems(q)
                          if isinstance(e, VarElem))
     assert isinstance(q, (Join, Union, Minus, Optional))
     return query_vars(q.left) | query_vars(q.right)
@@ -133,7 +130,7 @@ def query_vars(q: Query) -> frozenset[Var]:
 
 def _splices_in(q: Query) -> Iterator[str]:
     if isinstance(q, Pattern):
-        for e in _pattern_elems(q.pattern):
+        for e in _pattern_elems(q):
             if isinstance(e, SpliceElem):
                 yield e.splice
     else:
@@ -143,11 +140,10 @@ def _splices_in(q: Query) -> Iterator[str]:
 
 
 def _map_elems(q: Query, f) -> Query:
-    if isinstance(q, Pattern):
-        p = q.pattern
-        if isinstance(p, ConceptPattern):
-            return Pattern(ConceptPattern(f(p.elem), p.concept))
-        return Pattern(RolePattern(f(p.subject), p.role, f(p.obj)))
+    if isinstance(q, ConceptPattern):
+        return ConceptPattern(f(q.elem), q.concept)
+    if isinstance(q, RolePattern):
+        return RolePattern(f(q.subject), q.role, f(q.obj))
     return type(q)(_map_elems(q.left, f), _map_elems(q.right, f))
 
 
@@ -176,6 +172,13 @@ class SelectQuery:
     @classmethod
     def build(cls, select_vars: tuple[Var, ...], body: Query) -> "SelectQuery":
         return cls(select_vars, body, tuple(dict.fromkeys(_splices_in(body))))
+
+    @classmethod
+    def projection(cls, role: Role) -> "SelectQuery":
+        """``SELECT ?x WHERE { $subject role ?x }``: what a role projection
+        from the object spliced in as ``$subject`` asks for."""
+        x = Var("x")
+        return cls.build((x,), RolePattern(SpliceElem("subject"), role, VarElem(x)))
 
 
 # --- solution mappings ------------------------------------------------------
@@ -239,8 +242,7 @@ class _QueryParser:
         ts.take_punct("{")
         body = self.group()
         ts.take_punct("}")
-        if ts.peek().kind != "EOF":
-            raise ts.error("trailing input after query")
+        ts.end("trailing input after query")
         in_body = query_vars(body)
         for var, (line, column) in zip(select, positions):
             if var not in in_body:
@@ -284,24 +286,23 @@ class _QueryParser:
             raise ts.error("empty group")
         return acc
 
-    def triple(self) -> Query:
+    def triple(self) -> Pattern:
         ts = self.ts
         start = ts.peek()
         subject = self.node()
+        pattern: Pattern
         if ts.at_word("a"):
             ts.next()
-            concept = self.concept_ref()
-            pattern: QueryPattern = ConceptPattern(subject, concept)
+            pattern = ConceptPattern(subject, self.concept_ref())
         else:
             if not (ts.peek().kind in ("IRIREF", "PNAME")):
                 raise ts.error("expected 'a' or a role IRI")
             role = Role(read_name(ts, self.prefixes))
-            obj = self.node()
-            pattern = RolePattern(subject, role, obj)
+            pattern = RolePattern(subject, role, self.node())
         if all(isinstance(e, IriElem) for e in _pattern_elems(pattern)):
             raise ParseError(start.line, start.column,
                              "pattern needs at least one variable or splice")
-        return Pattern(pattern)
+        return pattern
 
     def node(self) -> PatternElem:
         ts = self.ts
@@ -332,8 +333,7 @@ def parse_query(text: str, prefixes: Mapping[str, str],
                 line: int = 1, column: int = 1) -> SelectQuery:
     """Parse a SELECT query; ``line``/``column`` offset positions when the
     query text is embedded in a larger source file."""
-    tokens = [t for t in tokenize(text, line, column) if t.kind != "NL"]
-    ts = TokenStream(tokens)
+    ts = fragment(text, line, column)
     return ts.within_stack(_QueryParser(ts, prefixes).parse, "query")
 
 
@@ -348,7 +348,7 @@ def _elem_value(e: PatternElem, mu: SolutionMapping) -> Iri | None:
     raise ValueError(f"unresolved splice ${e.splice} during evaluation")
 
 
-def _pattern_holds(r: Reasoner, p: QueryPattern, mu: SolutionMapping) -> bool:
+def _pattern_holds(r: Reasoner, p: Pattern, mu: SolutionMapping) -> bool:
     if isinstance(p, ConceptPattern):
         value = _elem_value(p.elem, mu)
         return value is not None and r.entails_instance(value, p.concept)
@@ -362,7 +362,7 @@ def satisfies(r: Reasoner, q: Query, mu: SolutionMapping) -> bool:
     """The per-mapping truth condition; patterns over unbound variables are
     false, so extra bindings elsewhere in ``mu`` are simply ignored."""
     if isinstance(q, Pattern):
-        return _pattern_holds(r, q.pattern, mu)
+        return _pattern_holds(r, q, mu)
     if isinstance(q, Join):
         return satisfies(r, q.left, mu) and satisfies(r, q.right, mu)
     if isinstance(q, Union):
@@ -382,9 +382,7 @@ def solves(r: Reasoner, q: Query, mu: SolutionMapping) -> bool:
     variables, each UNION branch answers for itself, MINUS binds nothing on
     the right)."""
     if isinstance(q, Pattern):
-        pattern_vars = frozenset(e.var for e in _pattern_elems(q.pattern)
-                                 if isinstance(e, VarElem))
-        return mu.domain == pattern_vars and _pattern_holds(r, q.pattern, mu)
+        return mu.domain == query_vars(q) and _pattern_holds(r, q, mu)
     if isinstance(q, Join):
         items = mu.bindings
         n = len(items)

@@ -318,16 +318,16 @@ def random_query(rng: random.Random, limits: GenLimits = GenLimits()) -> Query:
 
     def pattern() -> Query:
         if rng.random() < 0.5:
-            return Pattern(ConceptPattern(
+            return ConceptPattern(
                 VarElem(rng.choice(variables)),
-                _random_simple_concept(rng, concepts, roles, 1)))
+                _random_simple_concept(rng, concepts, roles, 1))
         role = rng.choice(roles)
         subject: object = VarElem(rng.choice(variables))
         obj: object = VarElem(rng.choice(variables)) \
             if rng.random() < 0.7 else IriElem(rng.choice(objects))
         if rng.random() < 0.2:
             subject, obj = IriElem(rng.choice(objects)), VarElem(rng.choice(variables))
-        return Pattern(RolePattern(subject, role, obj))
+        return RolePattern(subject, role, obj)
 
     def build(depth: int) -> Query:
         if depth == 0 or rng.random() < 0.4:

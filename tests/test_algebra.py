@@ -3,14 +3,18 @@ from __future__ import annotations
 import json
 import random
 
+import pytest
+
 from dlq.algebra import ResultTable, eval_algebraic, project, table_to_json
 from dlq.model import Iri
 from dlq.query import (
+    IriElem,
     SolutionMapping,
     Var,
     denotational_eval,
     parse_query,
     query_vars,
+    substitute_splices,
 )
 from dlq.reasoner import Reasoner
 from support import iri, random_kb, random_query
@@ -43,11 +47,27 @@ class TestEvalAlgebraic:
         # The inverse direction is never asserted, only entailed; inverse
         # roles are not triple surface syntax, so build the pattern directly.
         from dlq.model import Role
-        from dlq.query import IriElem, Pattern, RolePattern, VarElem
-        q = Pattern(RolePattern(
+        from dlq.query import IriElem, RolePattern, VarElem
+        q = RolePattern(
             IriElem(uobj("softlang")),
-            Role(uobj("worksFor"), inverse=True), VarElem(X)))
+            Role(uobj("worksFor"), inverse=True), VarElem(X))
         assert eval_algebraic(university, q) == {SolutionMapping.of({X: uobj("bob")})}
+
+    @pytest.mark.parametrize("query", [
+        "SELECT ?y WHERE { $x :headOf $d . ?y :subOrganizationOf $d }",
+        "SELECT ?y WHERE { $x a :Chair . ?y :subOrganizationOf $d }",
+    ])
+    @pytest.mark.parametrize("x, answers", [("alice", {"rg1"}), ("bob", set())])
+    def test_patterns_left_without_variables_by_splicing(self, extended, uobj,
+                                                         query, x, answers):
+        # Splice values turn ``$x :headOf $d`` into a role pattern between two
+        # IRIs and ``$x a :Chair`` into a concept pattern on an IRI.
+        sq = parse_query(query, extended.kb.prefixes)
+        body = substitute_splices(
+            sq.body, {"x": IriElem(uobj(x)), "d": IriElem(uobj("csdept"))})
+        expected = {SolutionMapping.of({Y: uobj(a)}) for a in answers}
+        assert eval_algebraic(extended, body) == expected
+        assert denotational_eval(extended, body) == expected
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(47)

@@ -167,6 +167,12 @@ class TestQuery:
         assert code == 1
         assert err.startswith("ERROR E-SAT 1:1")
 
+    def test_select_variable_only_under_minus_exits_1_with_e_sat(self, capsys):
+        query = "SELECT ?y WHERE { ?x a :Person MINUS { ?y a :Chair } }"
+        assert run(capsys, "query", "type", query, "--kb", KB) == (
+            1, "", "ERROR E-SAT 1:1\n"
+            "SELECT variable ?y occurs only under MINUS and has no inferred type\n")
+
     def test_syntax_error_exits_2(self, capsys):
         code, _, err = run(capsys, "query", "type",
                            "SELECT ?x WHERE { ?x a :Person", "--kb", KB)
@@ -291,6 +297,77 @@ class TestLang:
         assert code == 3
         assert err.startswith("ERROR E-RUNTIME 3:8\n")
         assert "recursion" in err
+
+
+class TestProgramScenarios:
+    """Failure scenarios of ``lang check`` and ``lang run`` that the error
+    corpus does not reach, pinned by exit code, stdout and stderr."""
+
+    RA = "`inv(:worksFor) some :worksFor some Thing`"
+    RB = "`:worksFor some inv(:worksFor) some Thing`"
+    CASES = [
+        pytest.param(
+            "check",
+            "main = if nonEmpty(nil[`:Person`]) then iri(:alice) else nil[`:Person`]",
+            1, "", "ERROR E-SUB 2:8\n"
+            "branches have incompatible shapes: `{:alice}` vs List[`:Person`]\n",
+            id="lub-concept-vs-list"),
+        pytest.param(
+            "check",
+            "main = if nonEmpty(nil[`:Person`])\n"
+            '  then head(query "SELECT ?x ?y WHERE { ?y :worksFor ?x }") else iri(:alice)',
+            1, "", "ERROR E-SUB 2:8\n"
+            f"branches have incompatible shapes: ({RA}, {RB}) vs `{{:alice}}`\n",
+            id="lub-tuple-vs-concept"),
+        pytest.param(
+            "check",
+            "def staff(org: `:Person`): List[`:Person`] =\n"
+            '  strictquery "SELECT ?x WHERE { ?x :worksFor $org }"\n'
+            "main = staff(iri(:alice))",
+            1, "", f"ERROR E-SUB 3:3\nsplice $org: `:Person` is not subsumed by inferred {RA}\n",
+            id="strict-splice"),
+        pytest.param(
+            "check",
+            "def staff(o: `:Organization`): List[`:Person`] =\n"
+            '  query "SELECT ?x WHERE { $o :worksFor ?x }"\n'
+            "main = staff(iri(:softlang))",
+            1, "", f"ERROR E-SAT 3:3\nsplice $o: `:Organization` cannot overlap inferred {RB}\n",
+            id="nonstrict-splice"),
+        pytest.param(
+            "check",
+            'main = query "SELECT ?y WHERE { ?x a :Person MINUS { ?y a :Chair } }"',
+            1, "", "ERROR E-SAT 2:8\n"
+            "SELECT variable ?y occurs only under MINUS and has no inferred type\n",
+            id="select-only-under-minus"),
+        pytest.param(
+            "check", "main = iri(:alice).1",
+            1, "", "ERROR E-SUB 2:19\ntuple index on `{:alice}`\n",
+            id="index-on-non-tuple"),
+        pytest.param(
+            "check", 'main = head(query "SELECT ?x ?y WHERE { ?y :worksFor ?x }").3',
+            1, "", f"ERROR E-SUB 2:60\nindex .3 out of range for ({RA}, {RB})\n",
+            id="index-out-of-range"),
+        pytest.param(
+            "check", "main = head(iri(:alice))",
+            1, "", "ERROR E-SUB 2:13\nexpected a list, got `{:alice}`\n",
+            id="head-of-non-list"),
+        pytest.param(
+            "run",
+            'main = query "SELECT ?x ?y WHERE { ?x a :Person OPTIONAL { ?x :worksFor ?y } }"',
+            3, "", "ERROR E-RUNTIME 2:8\nvariable ?y is unbound in a solution\n",
+            id="unbound-optional"),
+        pytest.param("run", "main = (iri(:bob))", 0, ":bob\n", "",
+                     id="parenthesised-term"),
+        pytest.param("run", "main = iri(:softlang).`inv(:worksFor)`", 0, "[:bob]\n", "",
+                     id="inverse-projection"),
+    ]
+
+    @pytest.mark.parametrize("action, source, code, out, err", CASES)
+    def test_scenario(self, capsys, tmp_path, action, source, code, out, err):
+        path = tmp_path / "scenario.dlq"
+        path.write_text(
+            "prefix : <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n" + source + "\n")
+        assert run(capsys, "lang", action, str(path), "--kb", KB) == (code, out, err)
 
 
 class TestErrorCorpus:

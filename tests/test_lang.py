@@ -113,6 +113,20 @@ class TestLub:
         t = ListType(ConceptType(uc(":Person")))
         assert lub(t, t) == t
 
+    def test_tuples_take_pointwise_union(self, uc):
+        chair, person = ConceptType(uc(":Chair")), ConceptType(uc(":Person"))
+        got = lub(TupleType((chair, person)), TupleType((person, person)))
+        assert got == TupleType((ConceptType(Or(chair.concept, person.concept)), person))
+
+    def test_tuple_arity_mismatch_names_types_with_prefixes(self, uc, university_kb):
+        person = ConceptType(uc(":Person"))
+        with pytest.raises(LangTypeError) as err:
+            lub(TupleType((person, person)), TupleType((person, person, person)),
+                (2, 8), university_kb.prefixes)
+        assert (err.value.category, err.value.pos, err.value.message) == (
+            "E-SUB", (2, 8), "branches have incompatible shapes: "
+            "(`:Person`, `:Person`) vs (`:Person`, `:Person`, `:Person`)")
+
     def test_shape_mismatch_is_an_error(self, uc):
         with pytest.raises(LangTypeError) as err:
             lub(BOOL, ConceptType(uc(":Person")), (3, 7))
@@ -276,6 +290,15 @@ class TestEvaluate:
         typecheck(extended, proj)
         typecheck(extended, spelled)
         assert evaluate(extended, proj) == evaluate(extended, spelled)
+
+    def test_projection_over_an_inverse_role(self, university, uobj):
+        proj = program("main = iri(:softlang).`inv(:worksFor)`")
+        spelled = program(
+            'main = strictquery "SELECT ?x WHERE { ?x :worksFor :softlang }"')
+        typecheck(university, proj)
+        typecheck(university, spelled)
+        assert evaluate(university, proj) == ListVal((IriVal(uobj("bob")),))
+        assert evaluate(university, spelled) == evaluate(university, proj)
 
     def test_query_lists_are_ordered_deterministically(self, extended):
         source = ('def all(): List[`Thing`] = query "SELECT ?x WHERE { ?x a [Thing] }"\n'

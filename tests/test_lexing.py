@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlq.lang.parser import _tokenize as tokenize_program
+from dlq.lang.parser import _LEX
 from dlq.lexing import ParseError, TokenStream, tokenize
 
 # Pieces of text that the lexers take as tokens, blanks or comments, and
@@ -18,6 +18,10 @@ PROGRAM_PIECES = list("abzAZ_:(){}[],=.# \t\r\n09") + [
     '"SELECT ?x\nWHERE"', "`:A and\n\n:B`", '""', "=>", "<http://x/a>", "def",
 ]
 BAD_PIECES = ["é", "@", "\u00a0", '"', "`", "!", "\x00", "-", "?", "$", "<", ">"]
+
+def tokenize_program(text: str):
+    return [t for t in tokenize(text, pattern=_LEX) if t.kind != "NL"]
+
 
 KB_GAP = re.compile(r"(?:[ \t\r]+|#[^\n]*)*")
 PROGRAM_GAP = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")

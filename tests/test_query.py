@@ -40,14 +40,14 @@ class TestParse:
     def test_single_concept_pattern(self):
         sq = parse_query("SELECT ?x WHERE { ?x a :Person }", P)
         assert sq.select_vars == (X,)
-        assert sq.body == Pattern(ConceptPattern(VarElem(X), Atomic(iri("Person"))))
+        assert sq.body == ConceptPattern(VarElem(X), Atomic(iri("Person")))
 
     def test_two_patterns_fold_into_join(self):
         sq = parse_query(
             "SELECT ?x ?y WHERE { ?y :worksFor ?x . ?x a :ResearchGroup }", P)
         assert sq.body == Join(
-            Pattern(RolePattern(VarElem(Y), Role(iri("worksFor")), VarElem(X))),
-            Pattern(ConceptPattern(VarElem(X), Atomic(iri("ResearchGroup")))),
+            RolePattern(VarElem(Y), Role(iri("worksFor")), VarElem(X)),
+            ConceptPattern(VarElem(X), Atomic(iri("ResearchGroup"))),
         )
 
     def test_unclosed_group_is_a_parse_error(self):
@@ -79,7 +79,7 @@ class TestParse:
 
     def test_bracketed_concept_expression(self):
         sq = parse_query("SELECT ?x WHERE { ?x a [:A and not :B] }", P)
-        pattern = sq.body.pattern
+        pattern = sq.body
         from dlq.model import And, Not
         assert pattern.concept == And(Atomic(iri("A")), Not(Atomic(iri("B"))))
 
@@ -99,7 +99,7 @@ class TestParse:
 
 class TestVars:
     def test_pattern_vars(self):
-        q = Pattern(ConceptPattern(VarElem(X), Atomic(iri("Person"))))
+        q = ConceptPattern(VarElem(X), Atomic(iri("Person")))
         assert query_vars(q) == {X}
 
     def test_join_vars(self):
@@ -108,8 +108,8 @@ class TestVars:
         assert query_vars(sq.body) == {X, Y}
 
     def test_minus_vars_include_right_side(self):
-        q = Minus(Pattern(ConceptPattern(VarElem(X), Atomic(iri("A")))),
-                  Pattern(ConceptPattern(VarElem(Y), Atomic(iri("B")))))
+        q = Minus(ConceptPattern(VarElem(X), Atomic(iri("A"))),
+                  ConceptPattern(VarElem(Y), Atomic(iri("B"))))
         assert query_vars(q) == {X, Y}
 
 
@@ -188,15 +188,15 @@ class TestDenotationalEval:
         for _ in range(15):
             kb = random_kb(rng)
             q = Union(
-                Join(Pattern(ConceptPattern(VarElem(X), Atomic(iri("A")))),
-                     Pattern(RolePattern(VarElem(X), Role(iri("r")), VarElem(Y)))),
-                Pattern(ConceptPattern(VarElem(Y), Atomic(iri("B")))),
+                Join(ConceptPattern(VarElem(X), Atomic(iri("A"))),
+                     RolePattern(VarElem(X), Role(iri("r")), VarElem(Y))),
+                ConceptPattern(VarElem(Y), Atomic(iri("B"))),
             )
             before = denotational_eval(Reasoner(kb), q)
             after = denotational_eval(Reasoner(kb.extended(grown_axiom)), q)
             assert before <= after
 
     def test_unresolved_splice_is_an_error(self, university):
-        q = Pattern(ConceptPattern(SpliceElem("t"), Atomic(iri("A"))))
+        q = ConceptPattern(SpliceElem("t"), Atomic(iri("A")))
         with pytest.raises(ValueError):
             denotational_eval(university, q)
