@@ -10,7 +10,8 @@ condition of its right side, OPTIONAL keeps join answers that actually
 bound an optional-only variable plus all left answers.
 :func:`eval_algebraic` takes the caller's :class:`~dlq.reasoner.Reasoner`
 session, so its memo and its model serve every pattern of the query and
-every later query on that session.
+every later query on that session.  :func:`run_select` is how a spliced
+query runs, from the command line and from a program alike.
 
 Projection produces a deterministic table: one row per distinct projected
 binding, rows ordered lexicographically by cell text with absent cells
@@ -20,8 +21,9 @@ first.
 from __future__ import annotations
 
 import json
-from ._record import record
+from typing import Mapping
 
+from ._record import record
 from .model import Iri
 from .query import (
     ConceptPattern,
@@ -31,6 +33,7 @@ from .query import (
     Optional,
     Pattern,
     Query,
+    SelectQuery,
     SolutionMapping,
     SpliceElem,
     Union,
@@ -38,10 +41,11 @@ from .query import (
     VarElem,
     query_vars,
     satisfies,
+    substitute_splices,
 )
 from .reasoner import Reasoner
 
-__all__ = ["ResultTable", "eval_algebraic", "project", "table_to_json"]
+__all__ = ["ResultTable", "eval_algebraic", "project", "run_select", "table_to_json"]
 
 _EMPTY = SolutionMapping(())
 
@@ -136,6 +140,13 @@ def project(solutions: frozenset[SolutionMapping],
     """Project solutions onto the selected variables, collapsing duplicates."""
     rows = {tuple(mu.get(v) for v in select_vars) for mu in solutions}
     return ResultTable(tuple(select_vars), tuple(sorted(rows, key=_row_key)))
+
+
+def run_select(r: Reasoner, sq: SelectQuery, values: Mapping[str, Iri]) -> ResultTable:
+    """The result table of ``sq`` with every splice replaced by its IRI in
+    ``values``."""
+    body = substitute_splices(sq.body, {s: IriElem(v) for s, v in values.items()})
+    return project(eval_algebraic(r, body), sq.select_vars)
 
 
 def table_to_json(table: ResultTable) -> str:

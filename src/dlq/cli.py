@@ -26,14 +26,8 @@ import json
 import sys
 from typing import Mapping
 
-from .algebra import eval_algebraic, project, table_to_json
-from .inference import (
-    SpliceMismatch,
-    Unsatisfiable,
-    UntypedSelectVar,
-    Valid,
-    validate_query,
-)
+from .algebra import run_select, table_to_json
+from .inference import Valid, validate_query, validation_failure
 from .interpretation import Interpretation
 from .kbtext import (
     ParseError,
@@ -57,7 +51,7 @@ from .lang import (
     type_name,
 )
 from .model import Atomic, Iri, KnowledgeBase, Nominal
-from .query import IriElem, SelectQuery, parse_query, substitute_splices
+from .query import parse_query
 from .reasoner import Reasoner
 
 __all__ = ["main"]
@@ -156,26 +150,6 @@ def _cmd_reason(args) -> int:
 # --- dlq query --------------------------------------------------------------
 
 
-def _validation_failure(outcome, prefixes) -> int:
-    if isinstance(outcome, Unsatisfiable):
-        _emit_error("E-SAT", (1, 1),
-                    f"?{outcome.var.name} can never match: "
-                    f"{print_concept(outcome.concept, prefixes)} is unsatisfiable")
-    elif isinstance(outcome, UntypedSelectVar):
-        _emit_error("E-SAT", (1, 1),
-                    f"SELECT variable ?{outcome.var.name} occurs only under MINUS "
-                    f"and has no inferred type")
-    else:
-        assert isinstance(outcome, SpliceMismatch)
-        category = "E-SUB" if outcome.mode == "strict" else "E-SAT"
-        verb = "is not subsumed by" if outcome.mode == "strict" else "cannot overlap"
-        _emit_error(category, (1, 1),
-                    f"splice ${outcome.splice}: "
-                    f"{print_concept(outcome.declared, prefixes)} {verb} inferred "
-                    f"{print_concept(outcome.inferred, prefixes)}")
-    return 1
-
-
 def _render_table(table, prefixes) -> str:
     headers = ["?" + v.name for v in table.columns]
     rows = [[shorten(cell, prefixes) if cell is not None else "-" for cell in row]
@@ -192,7 +166,7 @@ def _cmd_query(args) -> int:
     kb = _load_kb(args.kb)
     r = Reasoner(kb)
     p = kb.prefixes
-    sq: SelectQuery = parse_query(args.query, p)
+    sq = parse_query(args.query, p)
     mode = "strict" if args.strict else "nonstrict"
     pairs = _splice_pairs(args.splice or [])
     given = dict(pairs)
@@ -206,35 +180,31 @@ def _cmd_query(args) -> int:
 
     if args.action == "type":
         splice_types = {name: parse_concept(text, p) for name, text in given.items()}
-        outcome = validate_query(r, sq, splice_types, mode)
-        if not isinstance(outcome, Valid):
-            return _validation_failure(outcome, p)
-        splice_vars = set(outcome.splice_vars.values())
-        variables = {
-            v.name: print_concept(c, p)
-            for v, c in sorted(outcome.variable_concepts.items(), key=lambda kv: kv[0].name)
-            if v not in splice_vars
-        }
-        splices = {s: print_concept(outcome.splice_concepts[s], p) for s in sq.splices}
-        if args.output == "json":
-            print(json.dumps({"variables": variables, "splices": splices}))
-        else:
-            print("\n".join([f"?{v}: {c}" for v, c in variables.items()]
-                            + [f"${s}: {c}" for s, c in splices.items()]))
-        return 0
-
-    # run: spliced values are IRIs; they validate at their nominal types.
-    values = {name: _parse_name(text, p) for name, text in given.items()}
-    splice_types = {name: Nominal(iri) for name, iri in values.items()}
+    else:
+        # run: spliced values are IRIs; they validate at their nominal types.
+        values = {name: _parse_name(text, p) for name, text in given.items()}
+        splice_types = {name: Nominal(iri) for name, iri in values.items()}
     outcome = validate_query(r, sq, splice_types, mode)
     if not isinstance(outcome, Valid):
-        return _validation_failure(outcome, p)
-    body = substitute_splices(sq.body, {s: IriElem(v) for s, v in values.items()})
-    table = project(eval_algebraic(r, body), sq.select_vars)
+        category, message = validation_failure(outcome, lambda c: print_concept(c, p))
+        _emit_error(category, (1, 1), message)
+        return 1
+    if args.action == "run":
+        table = run_select(r, sq, values)
+        print(table_to_json(table) if args.output == "json" else _render_table(table, p))
+        return 0
+    splice_vars = set(outcome.splice_vars.values())
+    variables = {
+        v.name: print_concept(c, p)
+        for v, c in sorted(outcome.variable_concepts.items(), key=lambda kv: kv[0].name)
+        if v not in splice_vars
+    }
+    splices = {s: print_concept(outcome.splice_concepts[s], p) for s in sq.splices}
     if args.output == "json":
-        print(table_to_json(table))
+        print(json.dumps({"variables": variables, "splices": splices}))
     else:
-        print(_render_table(table, p))
+        print("\n".join([f"?{v}: {c}" for v, c in variables.items()]
+                        + [f"${s}: {c}" for s, c in splices.items()]))
     return 0
 
 

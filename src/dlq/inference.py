@@ -22,7 +22,7 @@ reference to the splice.
 from __future__ import annotations
 
 from ._record import record
-from typing import Mapping, Union as TUnion
+from typing import Callable, Mapping, Union as TUnion
 
 from .model import (
     And,
@@ -54,7 +54,8 @@ __all__ = [
     "VarRef", "InfConcept", "VariableTyping",
     "infer_pattern", "combine", "infer_query", "resolve_references",
     "Valid", "Unsatisfiable", "SpliceMismatch", "UntypedSelectVar",
-    "ValidationOutcome", "validate_query", "type_role_projection",
+    "ValidationOutcome", "validate_query", "validation_failure",
+    "type_role_projection",
 ]
 
 
@@ -288,6 +289,23 @@ def validate_query(
         splice_concepts={s: final.get(fresh[s], splice_types[s]) for s in sq.splices},
         splice_vars=fresh,
     )
+
+
+def validation_failure(outcome: ValidationOutcome,
+                       show: Callable[[Concept], str]) -> tuple[str, str]:
+    """The failure category and message of a failed validation; ``show``
+    writes each concept the way the caller's surface quotes it."""
+    if isinstance(outcome, Unsatisfiable):
+        return "E-SAT", (f"variable ?{outcome.var.name} can never match: "
+                         f"{show(outcome.concept)} is unsatisfiable")
+    if isinstance(outcome, UntypedSelectVar):
+        return "E-SAT", (f"SELECT variable ?{outcome.var.name} occurs only under "
+                         f"MINUS and has no inferred type")
+    assert isinstance(outcome, SpliceMismatch)
+    category, verb = (("E-SUB", "is not subsumed by") if outcome.mode == "strict"
+                      else ("E-SAT", "cannot overlap"))
+    return category, (f"splice ${outcome.splice}: {show(outcome.declared)} {verb} "
+                      f"inferred {show(outcome.inferred)}")
 
 
 def type_role_projection(

@@ -155,12 +155,10 @@ def _qual_expr(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
             and after.text in ("some", "only")):
         role = read_role(ts, prefixes)
         quant = ts.next()
+        if quant.text not in ("some", "only"):
+            raise ParseError(quant.line, quant.column, "expected 'some' or 'only'")
         filler = _qual_expr(ts, prefixes)
-        if quant.text == "some":
-            return Exists(role, filler)
-        if quant.text == "only":
-            return Forall(role, filler)
-        raise ParseError(quant.line, quant.column, "expected 'some' or 'only'")
+        return (Exists if quant.text == "some" else Forall)(role, filler)
     return _unary(ts, prefixes)
 
 

@@ -1,20 +1,19 @@
 """Call-by-value evaluation of type-checked programs.
 
-Queries reduce by substituting the spliced values as constants, asking the
-algebraic evaluator for certain answers and materialising the projected
-table as a list (of tuples, for two or more selected variables) in table
-order.  A role projection runs :meth:`~dlq.query.SelectQuery.projection`
-with its subject spliced in.  Match tries its cases in order, taking the
-first whose concept provably contains the scrutinee, else the default
-branch.
+Queries reduce through :func:`~dlq.algebra.run_select`, with the spliced
+values as constants, and the projected table becomes a list (of tuples,
+for two or more selected variables) in table order.  A role projection
+runs :meth:`~dlq.query.SelectQuery.projection` with its subject spliced
+in.  Match tries its cases in order, taking the first whose concept
+provably contains the scrutinee, else the default branch.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from ..algebra import eval_algebraic, project
-from ..query import IriElem, SelectQuery, substitute_splices
+from ..algebra import run_select
+from ..query import SelectQuery
 from ..reasoner import Reasoner
 from .syntax import (
     BoolVal,
@@ -65,9 +64,8 @@ class _Interp:
         for splice in sq.splices:
             v = env[splice]
             assert isinstance(v, IriVal), "typechecker admits only IRI splices"
-            values[splice] = IriElem(v.iri)
-        body = substitute_splices(sq.body, values)
-        table = project(eval_algebraic(self.r, body), sq.select_vars)
+            values[splice] = v.iri
+        table = run_select(self.r, sq, values)
         items: list[Value] = []
         for row in table.rows:
             cells: list[Value] = []

@@ -143,7 +143,7 @@ class _ProgramParser:
                 definitions[d.name] = d
             elif word == "main":
                 if main is not None:
-                    raise self.ts.error("duplicate main")
+                    raise ParseError(*self._pos(), "duplicate main")
                 ts.next()
                 ts.take_punct("=")
                 main = self.expr()
@@ -186,9 +186,10 @@ class _ProgramParser:
         params: list[tuple[str, LangType]] = []
         if not ts.at_punct(")"):
             while True:
+                ppos = self._pos()
                 pname = self._ident("a parameter name")
                 if any(p == pname for p, _ in params):
-                    raise self.ts.error(f"duplicate parameter {pname!r}")
+                    raise ParseError(*ppos, f"duplicate parameter {pname!r}")
                 # consume ':' which lexes as a bare PNAME token
                 self._colon()
                 params.append((pname, self._type()))

@@ -19,12 +19,10 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..inference import (
-    SpliceMismatch,
-    Unsatisfiable,
-    UntypedSelectVar,
     Valid,
     type_role_projection,
     validate_query,
+    validation_failure,
 )
 from ..kbtext import print_concept, print_role
 from ..model import Concept, Nominal, Or, TOP
@@ -192,29 +190,10 @@ class _Checker:
                     t, env[splice], f"spliced variable ${splice}")
             mode = "strict" if t.strict else "nonstrict"
             outcome = validate_query(self.r, t.query, splice_types, mode)
-            if isinstance(outcome, Unsatisfiable):
-                raise LangTypeError(
-                    "E-SAT", t.pos,
-                    f"variable ?{outcome.var.name} can never match: "
-                    f"`{print_concept(outcome.concept, self.p)}` is unsatisfiable")
-            if isinstance(outcome, UntypedSelectVar):
-                raise LangTypeError(
-                    "E-SAT", t.pos,
-                    f"SELECT variable ?{outcome.var.name} occurs only under "
-                    f"MINUS and has no inferred type")
-            if isinstance(outcome, SpliceMismatch):
-                if outcome.mode == "strict":
-                    raise LangTypeError(
-                        "E-SUB", t.pos,
-                        f"splice ${outcome.splice}: "
-                        f"`{print_concept(outcome.declared, self.p)}` is not subsumed "
-                        f"by inferred `{print_concept(outcome.inferred, self.p)}`")
-                raise LangTypeError(
-                    "E-SAT", t.pos,
-                    f"splice ${outcome.splice}: "
-                    f"`{print_concept(outcome.declared, self.p)}` cannot overlap "
-                    f"inferred `{print_concept(outcome.inferred, self.p)}`")
-            assert isinstance(outcome, Valid)
+            if not isinstance(outcome, Valid):
+                category, message = validation_failure(
+                    outcome, lambda c: type_name(ConceptType(c), self.p))
+                raise LangTypeError(category, t.pos, message)
             columns = [ConceptType(outcome.variable_concepts[v])
                        for v in t.query.select_vars]
             if len(columns) == 1:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dlq.algebra import ResultTable, eval_algebraic, project, table_to_json
+from dlq.algebra import ResultTable, eval_algebraic, project, run_select, table_to_json
 from dlq.model import Iri
 from dlq.query import (
     IriElem,
@@ -68,6 +68,8 @@ class TestEvalAlgebraic:
         expected = {SolutionMapping.of({Y: uobj(a)}) for a in answers}
         assert eval_algebraic(extended, body) == expected
         assert denotational_eval(extended, body) == expected
+        assert run_select(extended, sq, {"x": uobj(x), "d": uobj("csdept")}) == \
+            project(frozenset(expected), sq.select_vars)
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(47)

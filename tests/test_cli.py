@@ -160,6 +160,41 @@ class TestQuery:
         assert len(payload["solutions"]) == 1
         assert payload["solutions"][0]["y"].endswith("#bob")
 
+    # The failure texts of a query that validation rejects, from ``type``
+    # (splices at their declared concepts) and ``run`` (at the nominal of
+    # their IRI).  A program's checker words them alike, with its concepts
+    # in backquotes (TestProgramScenarios, TestErrorCorpus).
+    SPLICED = "SELECT ?x WHERE { $t :worksFor ?x . ?x a :ResearchGroup }"
+    INFERRED = "inferred :worksFor some (inv(:worksFor) some Thing and :ResearchGroup)\n"
+    FAILURES = [
+        pytest.param(
+            "SELECT ?x WHERE { ?x a [:Person and :Organization] }", [], [],
+            "ERROR E-SAT 1:1\n"
+            "variable ?x can never match: :Person and :Organization is unsatisfiable\n",
+            "ERROR E-SAT 1:1\n"
+            "variable ?x can never match: :Person and :Organization is unsatisfiable\n",
+            id="unsatisfiable"),
+        pytest.param(
+            SPLICED, ["--strict", "--splice", "t=:Employee"],
+            ["--strict", "--splice", "t=:alice"],
+            "ERROR E-SUB 1:1\nsplice $t: :Employee is not subsumed by " + INFERRED,
+            "ERROR E-SUB 1:1\nsplice $t: {:alice} is not subsumed by " + INFERRED,
+            id="strict-splice"),
+        pytest.param(
+            SPLICED, ["--splice", "t=:Organization"], ["--splice", "t=:softlang"],
+            "ERROR E-SAT 1:1\nsplice $t: :Organization cannot overlap " + INFERRED,
+            "ERROR E-SAT 1:1\nsplice $t: {:softlang} cannot overlap " + INFERRED,
+            id="nonstrict-splice"),
+    ]
+
+    @pytest.mark.parametrize("query, type_args, run_args, type_err, run_err", FAILURES)
+    def test_validation_failures_are_worded_in_full(self, capsys, query, type_args,
+                                                    run_args, type_err, run_err):
+        assert run(capsys, "query", "type", query, "--kb", KB, *type_args) == (
+            1, "", type_err)
+        assert run(capsys, "query", "run", query, "--kb", KB, *run_args) == (
+            1, "", run_err)
+
     def test_unsatisfiable_query_exits_1_with_e_sat(self, capsys):
         code, _, err = run(capsys, "query", "type",
                            "SELECT ?x WHERE { ?x a [:Person and :Organization] }",
@@ -224,6 +259,24 @@ class TestQuery:
                            "--splice", "org=:csdept")
         assert code == 0
         assert ":rg1" in out
+
+    def test_run_and_a_program_answer_a_spliced_query_alike(self, capsys, tmp_path):
+        query = "SELECT ?rg WHERE { ?rg a :ResearchGroup . ?rg :subOrganizationOf $org }"
+        code, out, _ = run(capsys, "query", "run", query, "--kb", KB_EXT,
+                           "--splice", "org=:csdept", "--output", "json")
+        assert code == 0
+        from_cli = [row["rg"] for row in json.loads(out)["solutions"]]
+        path = tmp_path / "groups.dlq"
+        path.write_text(
+            "prefix : <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+            "def groups(org: `:Organization`): List[`:ResearchGroup`] =\n"
+            f'  query "{query}"\n'
+            "main = groups(iri(:csdept))\n")
+        code, out, _ = run(capsys, "lang", "run", str(path), "--kb", KB_EXT,
+                           "--output", "json")
+        assert code == 0
+        assert json.loads(out) == from_cli
+        assert len(from_cli) == 1 and from_cli[0].endswith("#rg1")
 
     def test_missing_splice_is_a_usage_error(self, capsys):
         query = "SELECT ?rg WHERE { ?rg :subOrganizationOf $org }"
@@ -371,20 +424,26 @@ class TestProgramScenarios:
 
 
 class TestErrorCorpus:
+    # Each id keeps the program's category; the case pins the whole stderr.
     CASES = [
-        ("e_sat.dlq", "check", 1, "E-SAT"),
-        ("e_sub.dlq", "check", 1, "E-SUB"),
-        ("e_access.dlq", "check", 1, "E-ACCESS"),
-        ("e_syntax.dlq", "check", 2, "E-SYNTAX"),
+        pytest.param("e_sat.dlq", "check", 1, "ERROR E-SAT 6:3\n"
+                     "variable ?x can never match: `:Person and :Organization` "
+                     "is unsatisfiable\n", id="e_sat.dlq-check-1-E-SAT"),
+        pytest.param("e_sub.dlq", "check", 1, "ERROR E-SUB 8:18\n"
+                     "argument 'org' of 'researchGroups': `:Person` is not a subtype "
+                     "of `:Organization`\n", id="e_sub.dlq-check-1-E-SUB"),
+        pytest.param("e_access.dlq", "check", 1, "ERROR E-ACCESS 6:6\n"
+                     "role :worksFor is not known to exist for `:Organization`\n",
+                     id="e_access.dlq-check-1-E-ACCESS"),
+        pytest.param("e_syntax.dlq", "check", 2, "ERROR E-SYNTAX 5:40\n"
+                     "expected '}', found end of input\n",
+                     id="e_syntax.dlq-check-2-E-SYNTAX"),
     ]
 
-    @pytest.mark.parametrize("name,action,expected_code,category", CASES)
-    def test_static_failures(self, capsys, name, action, expected_code, category):
+    @pytest.mark.parametrize("name,action,expected_code,stderr", CASES)
+    def test_static_failures(self, capsys, name, action, expected_code, stderr):
         path = str(FIXTURES / "errors" / name)
-        code, _, err = run(capsys, "lang", action, path, "--kb", KB)
-        assert code == expected_code
-        header = err.splitlines()[0]
-        assert header.startswith(f"ERROR {category} ")
+        assert run(capsys, "lang", action, path, "--kb", KB) == (expected_code, "", stderr)
 
     def test_empty_result_runs_clean(self, capsys):
         path = str(FIXTURES / "errors" / "e_empty.dlq")

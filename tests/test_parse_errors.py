@@ -1,12 +1,12 @@
-"""Syntax errors of the three surface languages, pinned by position and
-message: each text is read by its parser, and the error must name the
-line, column and message in the table."""
+"""Syntax errors of the three surface languages and of a lone concept,
+pinned by position and message: each text is read by its parser, and the
+error must name the line, column and message in the table."""
 
 from __future__ import annotations
 
 import pytest
 
-from dlq.kbtext import parse_kb
+from dlq.kbtext import parse_concept, parse_kb
 from dlq.lang import IriLit, parse_program
 from dlq.lexing import ParseError
 from dlq.model import Iri
@@ -17,6 +17,7 @@ PARSERS = {
     "kb": parse_kb,
     "query": lambda text: parse_query(text, {"": "http://x/"}),
     "program": parse_program,
+    "concept": lambda text: parse_concept(text, {"": "http://x/"}),
 }
 
 CASES = [
@@ -45,13 +46,15 @@ CASES = [
     ("program", H + "def f(): `:A` = iri(:a)\ndef f(): `:A` = iri(:a)\nmain = f()",
      (3, 1, "duplicate definition 'f'")),
     ("program", H + "main = iri(:a)\nmain = iri(:a)",
-     (3, 1, "duplicate main, found 'main'")),
+     (3, 1, "duplicate main")),
     ("program", H + "def f(p: `:A`, p: `:A`): `:A` = p\nmain = f(iri(:a))",
-     (2, 17, "duplicate parameter 'p', found ':'")),
+     (2, 16, "duplicate parameter 'p'")),
     ("program", H + "def f(p: (`:A`)): `:A` = p\nmain = f(iri(:a))",
      (2, 10, "tuple types need at least two components")),
     ("program", H + "def f(p: `:A\n  :B`): `:A` = p\nmain = f(iri(:a))",
      (3, 3, "trailing input in back-quoted expression, found ':B'")),
+    ("concept", "inv(:r) :A", (1, 9, "expected 'some' or 'only'")),
+    ("kb", H + ":X SubClassOf inv(:r) :A\n", (2, 23, "expected 'some' or 'only'")),
 ]
 
 
