@@ -91,7 +91,7 @@ class Reasoner:
         """Satisfiability of ``c``, with a model witness when satisfiable."""
         cached = self._sat.get(c)
         if cached is None:
-            graph = self._tableau.run(probe=c)
+            graph = self._tableau.run(c)
             if graph is None:
                 cached = SatResult(False)
             else:
@@ -126,7 +126,7 @@ class Reasoner:
         if cached is None:
             if not self._instance_candidates(c, (obj,)):
                 return False
-            graph = self._tableau.run(extra_assertions=((obj, Not(c)),))
+            graph = self._tableau.run(Not(c), obj)
             cached = graph is None
             self._instance[key] = cached
         return cached

@@ -16,8 +16,9 @@ roles and single-object nominals:
   sweep.  Only positive atomic concepts trigger: a node
   without A is outside A in the extracted model, so a trigger on ¬A would
   miss every node holding neither;
-* universal restrictions propagate across edges in both directions, so
-  inverse roles need no special casing beyond the neighbour relation;
+* an edge is stored at both its ends, as r from its tail and inv(r) from
+  its head, so ∃ and ∀ over an inverse role read the same edge map as over
+  an atomic one;
 * two nodes sharing a nominal are merged (newer into older), which is the
   only way equality between individuals can be forced here.  The subtree
   the newer node generated is pruned, not re-parented (Horrocks and
@@ -25,23 +26,27 @@ roles and single-object nominals:
   each merge could unblock a chain that grew one node more before the
   next merge, without end;
 * termination comes from anywhere pairwise blocking: an anonymous node is
-  blocked when its (label, parent label, connecting edge labels) triple
-  duplicates that of an earlier unblocked anonymous node.  Nodes holding a
-  nominal are never blocked.  Only successor generation is gated on
-  blocking; label-filling rules are harmless on blocked nodes and keep
-  the block condition honest.
+  blocked when its key (label, parent label, roles joining the parent to
+  it) is held by an earlier unblocked anonymous node; one pass maps each
+  key to its first holder.  Nodes holding a nominal are never blocked.
+  Only successor generation is gated on blocking; label-filling rules are
+  harmless on blocked nodes and keep the block condition honest.
 
 Unfolding, ⊓ and ∀ fire as concepts and edges arrive (ToDo-list
 expansion, Horrocks and Patel-Schneider, J. Logic Comput. 1999): adding a
 concept to a label closes the graph under them from a worklist, and a new
 edge carries the ∀s of both its endpoints across, so no rule sweep waits
-for them.  Merge, ⊔ and ∃ are found by sweeping the graph, in that fixed
-priority (lowest node id first; within a label, insertion order).  Disjunctions with
-exactly one non-clashing side are applied without a choice point,
-successors are generated before the first real choice point, and real
-choice points are explored depth-first from an explicit stack of pending
-graphs (so the number of choice points is not bounded by Python's
-recursion limit), first choice first.  Runs are reproducible.
+for them.  One sweep over the labels (lowest node id first; within a
+label, insertion order) finds the first nominal merge, else the first
+disjunction with at most one non-clashing side, which is applied without a
+choice point, else the first real choice point.  Only when it finds no
+merge or decided disjunction does a second sweep look for an unwitnessed
+∃ on an unblocked node, so successors are generated before the first
+real choice point.  Real choice points are explored depth-first from an
+explicit stack of pending graphs (so the number of choice points is not
+bounded by Python's recursion limit), first choice first.  Labels and
+edge role sets keep insertion order, so runs are reproducible whatever
+the hash seed.
 
 From a clash-free completed graph a finite model is read off directly:
 blocked nodes are dropped and edges into them are redirected to their
@@ -56,6 +61,7 @@ from .interpretation import Interpretation
 from .model import (
     And,
     Atomic,
+    BOTTOM,
     Bottom,
     Concept,
     ConceptAssertion,
@@ -79,23 +85,25 @@ from .model import (
 class _Graph:
     """Mutable completion graph; copied at disjunction choice points.
 
-    Labels are insertion-ordered concept sets (dicts with None values), so
-    every iteration order below is deterministic without sorting.  Until a
-    clash, labels stay closed under unfolding, ⊓ and ∀: every ⊓ has both
-    conjuncts beside it, and every ∀r.C has C in the label of each
-    r-neighbour.  The unfolding table and the negation lookup belong to
-    the tableau and are shared by every copy.
+    Labels are insertion-ordered concept sets (dicts with None values), and
+    so are edges: ``edges[a][b]`` holds every role, inverse roles included,
+    that joins ``a`` to ``b``, so an r-edge from a to b is r under
+    ``edges[a][b]`` and inv(r) under ``edges[b][a]``.  Every iteration
+    order below is deterministic without sorting.  Until a clash, labels
+    stay closed under unfolding, ⊓ and ∀: every ⊓ has both conjuncts beside
+    it, and every ∀r.C has C in the label of each r-neighbour.  The
+    unfolding table and the negation lookup belong to the tableau and are
+    shared by every copy.
     """
 
-    __slots__ = ("labels", "parent", "out", "inc", "clashed", "next_id",
+    __slots__ = ("labels", "parent", "edges", "clashed", "next_id",
                  "unfolding", "neg")
 
     def __init__(self, unfolding: dict[Concept, tuple[Concept, ...]],
                  neg: Callable[[Concept], Concept]) -> None:
         self.labels: dict[int, dict[Concept, None]] = {}
         self.parent: dict[int, Optional[int]] = {}
-        self.out: dict[int, dict[int, set[Iri]]] = {}
-        self.inc: dict[int, dict[int, set[Iri]]] = {}
+        self.edges: dict[int, dict[int, dict[Role, None]]] = {}
         self.clashed = False
         self.next_id = 0
         self.unfolding = unfolding
@@ -105,8 +113,7 @@ class _Graph:
         g = _Graph.__new__(_Graph)
         g.labels = {n: dict(lbl) for n, lbl in self.labels.items()}
         g.parent = dict(self.parent)
-        g.out = {n: {d: set(r) for d, r in adj.items()} for n, adj in self.out.items()}
-        g.inc = {n: {d: set(r) for d, r in adj.items()} for n, adj in self.inc.items()}
+        g.edges = {n: {m: dict(r) for m, r in adj.items()} for n, adj in self.edges.items()}
         g.clashed = self.clashed
         g.next_id = self.next_id
         g.unfolding = self.unfolding
@@ -118,8 +125,7 @@ class _Graph:
         self.next_id += 1
         self.labels[node] = {}
         self.parent[node] = parent
-        self.out[node] = {}
-        self.inc[node] = {}
+        self.edges[node] = {}
         for c in label:
             self.add(node, c)
         return node
@@ -157,27 +163,25 @@ class _Graph:
                 self.clashed = True
                 return
 
-    def add_edge(self, src: int, dst: int, role_iri: Iri) -> None:
-        """Add an edge and carry the ∀s of both endpoints across it."""
-        roles = self.out[src].setdefault(dst, set())
-        if role_iri in roles:
+    def add_edge(self, src: int, dst: int, role: Role) -> None:
+        """Add a ``role`` edge from ``src`` to ``dst`` and carry the ∀s of
+        both endpoints across it."""
+        roles = self.edges[src].setdefault(dst, {})
+        if role in roles:
             return
-        roles.add(role_iri)
-        self.inc[dst].setdefault(src, set()).add(role_iri)
+        roles[role] = None
+        back = role.inverted()
+        self.edges[dst].setdefault(src, {})[back] = None
         self._close(
-            [(dst, c.filler) for c in self.labels[src] if isinstance(c, Forall)
-             and not c.role.inverse and c.role.iri == role_iri]
-            + [(src, c.filler) for c in self.labels[dst] if isinstance(c, Forall)
-               and c.role.inverse and c.role.iri == role_iri])
+            [(dst, c.filler) for c in self.labels[src]
+             if isinstance(c, Forall) and c.role == role]
+            + [(src, c.filler) for c in self.labels[dst]
+               if isinstance(c, Forall) and c.role == back])
 
     def neighbors(self, node: int, role: Role) -> Iterator[int]:
-        adj = self.inc[node] if role.inverse else self.out[node]
-        for other, roles in adj.items():
-            if role.iri in roles:
+        for other, roles in self.edges[node].items():
+            if role in roles:
                 yield other
-
-    def connection(self, a: int, b: int) -> tuple[frozenset[Iri], frozenset[Iri]]:
-        return (frozenset(self.out[a].get(b, ())), frozenset(self.out[b].get(a, ())))
 
     def has_nominal(self, node: int) -> bool:
         return any(isinstance(c, Nominal) for c in self.labels[node])
@@ -196,51 +200,36 @@ class _Graph:
         # one of them may lead back into the source.
         for c in list(self.labels[source]):
             self.add(target, c)
-        for dst, roles in self.out[source].items():
-            for r in roles:
-                self.add_edge(target, target if dst == source else dst, r)
-        for src, roles in self.inc[source].items():
-            if src != source:
-                for r in roles:
-                    self.add_edge(src, target, r)
+        for other, roles in self.edges[source].items():
+            for role in roles:
+                self.add_edge(target, target if other == source else other, role)
         self.delete(source)
 
     def delete(self, node: int) -> None:
         """Remove a node and every edge touching it."""
-        for dst in self.out.pop(node):
-            if dst != node:
-                self.inc[dst].pop(node)
-        for src in self.inc.pop(node):
-            if src != node:
-                self.out[src].pop(node)
+        for other in self.edges.pop(node):
+            if other != node:
+                del self.edges[other][node]
         del self.labels[node], self.parent[node]
 
     def blocking(self) -> tuple[dict[int, int], set[int]]:
-        """(directly-blocked -> blocker, all blocked nodes), by ascending id;
-        a parent always has a smaller id than its children."""
+        """(directly-blocked -> blocker, all blocked nodes).  A node is
+        blocked directly by the first unblocked anonymous node, by
+        ascending id, with the same (label, parent label, roles from the
+        parent) key; a parent always has a smaller id than its children."""
         direct: dict[int, int] = {}
         blocked: set[int] = set()
-        candidates: list[int] = []
-        for node in self.labels:
-            par = self.parent[node]
-            if par is not None and par in blocked:
+        holders: dict[tuple, int] = {}
+        for node, par in self.parent.items():
+            if par in blocked:
                 blocked.add(node)
-                continue
-            if par is None or self.has_nominal(node):
-                continue
-            lbl = self.labels[node].keys()
-            plbl = self.labels[par].keys()
-            conn = self.connection(par, node)
-            for other in candidates:
-                opar = self.parent[other]
-                if (self.labels[other].keys() == lbl
-                        and self.labels[opar].keys() == plbl
-                        and self.connection(opar, other) == conn):
-                    direct[node] = other
+            elif par is not None and not self.has_nominal(node):
+                key = (frozenset(self.labels[node]), frozenset(self.labels[par]),
+                       frozenset(self.edges[par][node]))
+                holder = holders.setdefault(key, node)
+                if holder != node:
+                    direct[node] = holder
                     blocked.add(node)
-                    break
-            if node not in blocked:
-                candidates.append(node)
         return direct, blocked
 
 
@@ -321,26 +310,21 @@ class Tableau:
             self._negations[c] = cached
         return cached
 
-    def _initial_graph(
-        self,
-        probe: Optional[Concept],
-        extra_assertions: tuple[tuple[Iri, Concept], ...],
-    ) -> _Graph:
+    def _initial_graph(self, concept: Optional[Concept], obj: Optional[Iri]) -> _Graph:
         graph = _Graph(self.unfolding, self._neg)
         named = list(self.named)
-        for obj, _ in extra_assertions:
-            if obj not in named:
-                named.append(obj)
+        if obj is not None and obj not in named:
+            named.append(obj)
         # An object a nominal names denotes something even when the KB
         # never mentions it, so it gets a node of its own.
-        concepts = [c for _, c in extra_assertions] + ([probe] if probe is not None else [])
-        mentioned = {o for c in concepts for o in concept_signature(c).objects}
-        named += sorted(mentioned.difference(named), key=lambda i: i.value)
-        # Concepts before edges, and the extra assertions first: a
-        # refutation that clashes on an asserted concept then stops before
-        # the internalised concepts and the role assertions close the graph.
-        node_of = {obj: graph.new_node(None, (Nominal(obj),)) for obj in named}
-        for obj, concept in extra_assertions:
+        if concept is not None:
+            mentioned = concept_signature(concept).objects.difference(named)
+            named += sorted(mentioned, key=lambda i: i.value)
+        # Concepts before edges, and the asserted concept first: a
+        # refutation that clashes on it then stops before the internalised
+        # concepts and the role assertions close the graph.
+        node_of = {o: graph.new_node(None, (Nominal(o),)) for o in named}
+        if obj is not None and concept is not None:
             graph.add(node_of[obj], nnf(concept))
         for assertion in self.kb.abox:
             if isinstance(assertion, ConceptAssertion):
@@ -351,20 +335,19 @@ class Tableau:
         for assertion in self.kb.abox:
             if isinstance(assertion, RoleAssertion):
                 graph.add_edge(node_of[assertion.subject], node_of[assertion.obj],
-                               assertion.role.iri)
-        if probe is not None:
-            graph.new_node(None, (nnf(probe),) + self.internalized)
+                               assertion.role)
+        if obj is None and concept is not None:
+            graph.new_node(None, (nnf(concept),) + self.internalized)
         if not graph.labels:
             graph.new_node(None, self.internalized)
         return graph
 
-    def run(
-        self,
-        probe: Optional[Concept] = None,
-        extra_assertions: tuple[tuple[Iri, Concept], ...] = (),
-    ) -> Optional[_Graph]:
-        """Expand to a clash-free completed graph, or None if none exists."""
-        return self._expand(self._initial_graph(probe, extra_assertions))
+    def run(self, concept: Optional[Concept] = None,
+            obj: Optional[Iri] = None) -> Optional[_Graph]:
+        """Expand to a clash-free completed graph, or None if none exists.
+        ``concept``, when given, is asserted of ``obj``, or of a fresh root
+        node when ``obj`` is None."""
+        return self._expand(self._initial_graph(concept, obj))
 
     def _expand(self, graph: _Graph) -> Optional[_Graph]:
         # Merges and decided disjunctions run to quiescence before any
@@ -392,61 +375,40 @@ class Tableau:
     def _saturate(self, graph: _Graph) -> Optional[tuple[int, list[Concept]]]:
         """Apply deterministic rules until the graph clashes or is complete
         (both None), or needs a choice: then (node, choices)."""
-        while True:
-            if graph.clashed:
-                return None
-
-            action = self._merge_action(graph)
-            if action is not None:
-                graph.merge(*action)
-                continue
-
-            branch = self._disjunction_action(graph)
-            if branch is not None and len(branch[1]) <= 1:
+        while not graph.clashed:
+            merge, branch = self._sweep(graph)
+            if merge is not None:
+                graph.merge(*merge)
+            elif branch is not None and len(branch[1]) <= 1:
                 node, choices = branch
-                if not choices:
-                    graph.clashed = True
-                    return None
-                graph.add(node, choices[0])
-                continue
-
-            if self._apply_exists(graph):
-                continue
-
-            return branch
-
-    def _merge_action(self, graph: _Graph) -> Optional[tuple[int, int]]:
-        seen: dict[Iri, int] = {}
-        for node in graph.labels:
-            for c in graph.labels[node]:
-                if isinstance(c, Nominal):
-                    first = seen.get(c.obj)
-                    if first is None:
-                        seen[c.obj] = node
-                    elif first != node:
-                        return (first, node)
+                graph.add(node, choices[0] if choices else BOTTOM)
+            elif not self._apply_exists(graph):
+                return branch
         return None
 
-    def _disjunction_action(self, graph: _Graph) -> Optional[tuple[int, list[Concept]]]:
-        """The next disjunction to apply: prefer ones decided by the current
-        label (zero or one viable side) over genuine choice points."""
-        first_choice: Optional[tuple[int, list[Concept]]] = None
-        for node in graph.labels:
-            label = graph.labels[node]
+    def _sweep(self, graph: _Graph) -> tuple[Optional[tuple[int, int]],
+                                             Optional[tuple[int, list[Concept]]]]:
+        """One pass over the labels, lowest node id first: the first two
+        nodes sharing a nominal (older, newer), and the first disjunction
+        decided by its label (zero or one viable side), else the first
+        genuine choice point."""
+        seen: dict[Iri, int] = {}
+        decided = choice = None
+        for node, label in graph.labels.items():
             for c in label:
-                if not isinstance(c, Or):
-                    continue
-                if c.left in label or c.right in label:
-                    continue
-                viable = [
-                    d for d in (c.left, c.right)
-                    if not isinstance(d, Bottom) and self._neg(d) not in label
-                ]
-                if len(viable) <= 1:
-                    return (node, viable)
-                if first_choice is None:
-                    first_choice = (node, viable)
-        return first_choice
+                if isinstance(c, Nominal):
+                    first = seen.setdefault(c.obj, node)
+                    if first != node:
+                        return (first, node), None
+                elif (isinstance(c, Or) and decided is None
+                      and c.left not in label and c.right not in label):
+                    viable = [d for d in (c.left, c.right)
+                              if not isinstance(d, Bottom) and self._neg(d) not in label]
+                    if len(viable) <= 1:
+                        decided = (node, viable)
+                    elif choice is None:
+                        choice = (node, viable)
+        return None, decided or choice
 
     def _apply_exists(self, graph: _Graph) -> bool:
         direct, blocked = graph.blocking()
@@ -466,10 +428,7 @@ class Tableau:
                            if y not in indirect):
                         continue
                     child = graph.new_node(node, (c.filler,) + self.internalized)
-                    if c.role.inverse:
-                        graph.add_edge(child, node, c.role.iri)
-                    else:
-                        graph.add_edge(node, child, c.role.iri)
+                    graph.add_edge(node, child, c.role)
                     return True
         return False
 
@@ -501,13 +460,14 @@ class Tableau:
             return node if node in domain else direct.get(node)
 
         role_ext: dict[Iri, set[tuple[int, int]]] = {}
-        for src, adj in graph.out.items():
+        for src, adj in graph.edges.items():
             for dst, roles in adj.items():
                 source, target = land(src), land(dst)
                 if source is None or target is None:
                     continue
-                for role_iri in roles:
-                    role_ext.setdefault(role_iri, set()).add((source, target))
+                for role in roles:
+                    if not role.inverse:
+                        role_ext.setdefault(role.iri, set()).add((source, target))
 
         return Interpretation(
             domain=domain,

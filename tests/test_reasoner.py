@@ -3,7 +3,10 @@ from __future__ import annotations
 import random
 import sys
 
+import pytest
+
 from dlq.interpretation import bounded_model_search, extension, verify_model
+from dlq.kbtext import parse_concept, parse_kb
 from dlq.model import (
     And,
     Atomic,
@@ -19,8 +22,10 @@ from dlq.model import (
     SubClass,
     TOP,
     concept_signature,
+    negated,
 )
 from dlq.reasoner import Reasoner
+from dlq.tableau import _Graph
 from support import iri, random_kb, _random_simple_concept
 
 
@@ -158,6 +163,57 @@ class TestRoles:
     def test_inverse_direction(self, university, uobj, urole):
         assert university.entails_role(uobj("softlang"),
                                        urole("worksFor", inverse=True), uobj("bob"))
+
+
+class TestEdgeShapes:
+    """Self-loops, inverse roles and edges that reach a named object through
+    a nominal or a merge, each asked as whether ``:o1`` is a ``:D``."""
+
+    PREFIX = "prefix : <http://ex.org/#>\n"
+
+    @pytest.mark.parametrize("axioms, expected", [
+        (":o1 Fact :r :o1\n:o1 Type :r only :D", True),
+        (":o1 Fact :r :o1\n:o1 Type inv(:r) only :D", True),
+        (":o1 Fact :r :o2\n:o2 Type inv(:r) only :D", True),
+        (":o1 Type :r some {:o2}\n:o2 Type inv(:r) only :D", True),
+        (":o1 Type :r some ({:o2} and :r only :D)\n:o2 Fact :r :o1", True),
+        (":o1 Type {:o2}\n:o2 Fact :r :o3\n:o3 Type inv(:r) only :D", True),
+        (":o2 Type :r only :D\n:o1 Fact :r :o2", False),
+        (":o1 Fact :r :o1\n:o1 Type :s only :D", False),
+    ])
+    def test_instance_answer_and_verified_witness(self, axioms, expected):
+        kb = parse_kb(self.PREFIX + axioms + "\n")
+        r = Reasoner(kb)
+        assert r.entails_instance(Iri("http://ex.org/#o1"),
+                                  parse_concept(":D", kb.prefixes)) is expected
+        result = r.is_satisfiable(TOP)
+        assert result.satisfiable and verify_model(result.witness, kb)
+
+
+class TestBlocking:
+    """``_Graph.blocking`` on hand-built graphs: a root with two anonymous
+    children of equal labels, the second with a child of its own."""
+
+    @staticmethod
+    def _graph(second_role: Role) -> tuple[_Graph, int, int, int]:
+        a, r = Atomic(iri("A")), Role(iri("r"))
+        g = _Graph({}, negated)
+        root = g.new_node(None, ())
+        first = g.new_node(root, (a,))
+        g.add_edge(root, first, r)
+        second = g.new_node(root, (a,))
+        g.add_edge(root, second, second_role)
+        grandchild = g.new_node(second, (a,))
+        g.add_edge(second, grandchild, r)
+        return g, first, second, grandchild
+
+    def test_children_joined_by_different_roles_stay_unblocked(self):
+        g, *_ = self._graph(Role(iri("s")))
+        assert g.blocking() == ({}, set())
+
+    def test_the_later_of_two_equal_children_is_blocked_with_its_subtree(self):
+        g, first, second, grandchild = self._graph(Role(iri("r")))
+        assert g.blocking() == ({second: first}, {second, grandchild})
 
 
 class TestVerifyModel:
