@@ -13,6 +13,7 @@ from .model import (
     Equivalent,
     Exists,
     Forall,
+    Interpretation,
     Iri,
     KnowledgeBase,
     Nominal,
@@ -28,7 +29,6 @@ from .model import (
     signature,
 )
 from .kbtext import ParseError, parse_concept, parse_kb, print_concept, print_kb
-from .interpretation import Interpretation, bounded_model_search, verify_model
 from .reasoner import Reasoner, SatResult
 
 __version__ = "0.1.0"

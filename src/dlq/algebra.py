@@ -1,7 +1,7 @@
 """Bottom-up query evaluation and projection to result tables.
 
 Computes the same certain-answer sets as the brute-force definition in
-:mod:`dlq.query`, but compositionally: patterns enumerate named objects
+:mod:`dlq.interpretation`, but compositionally: patterns enumerate named objects
 through the reasoner (which refutes most candidates against one model of
 the knowledge base per session, built at the first enumeration, and runs
 the tableau only on the rest), joins merge compatible mappings, UNION unions

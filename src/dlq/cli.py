@@ -28,7 +28,6 @@ from typing import Mapping
 
 from .algebra import run_select, table_to_json
 from .inference import Valid, validate_query, validation_failure
-from .interpretation import Interpretation
 from .kbtext import (
     ParseError,
     parse_concept,
@@ -50,7 +49,7 @@ from .lang import (
     typecheck,
     type_name,
 )
-from .model import Atomic, Iri, KnowledgeBase, Nominal
+from .model import Atomic, Interpretation, Iri, Nominal
 from .query import parse_query
 from .reasoner import Reasoner
 
@@ -61,18 +60,12 @@ class _Environment(Exception):
     pass
 
 
-def _load_kb(path: str) -> KnowledgeBase:
+def _read(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
-        raise _Environment(f"cannot read KB file {path!r}: {exc.strerror}") from exc
-    return parse_kb(text)
-
-
-def _emit_error(category: str, pos: tuple[int, int], message: str) -> None:
-    print(f"ERROR {category} {pos[0]}:{pos[1]}", file=sys.stderr)
-    print(message, file=sys.stderr)
+        raise _Environment(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
 
 
 def _parse_name(text: str, prefixes: Mapping[str, str]) -> Iri:
@@ -115,10 +108,8 @@ def _model_summary(interp: Interpretation, prefixes) -> dict:
 # --- dlq reason -------------------------------------------------------------
 
 
-def _cmd_reason(args) -> int:
-    kb = _load_kb(args.kb)
-    r = Reasoner(kb)
-    p = kb.prefixes
+def _cmd_reason(args, r: Reasoner) -> int:
+    p = r.kb.prefixes
     show_model = None
     if args.check == "sat":
         result = r.is_satisfiable(parse_concept(args.concept, p))
@@ -162,10 +153,8 @@ def _render_table(table, prefixes) -> str:
     return "\n".join(lines)
 
 
-def _cmd_query(args) -> int:
-    kb = _load_kb(args.kb)
-    r = Reasoner(kb)
-    p = kb.prefixes
+def _cmd_query(args, r: Reasoner) -> int:
+    p = r.kb.prefixes
     sq = parse_query(args.query, p)
     mode = "strict" if args.strict else "nonstrict"
     pairs = _splice_pairs(args.splice or [])
@@ -187,8 +176,7 @@ def _cmd_query(args) -> int:
     outcome = validate_query(r, sq, splice_types, mode)
     if not isinstance(outcome, Valid):
         category, message = validation_failure(outcome, lambda c: print_concept(c, p))
-        _emit_error(category, (1, 1), message)
-        return 1
+        raise LangTypeError(category, (1, 1), message)
     if args.action == "run":
         table = run_select(r, sq, values)
         print(table_to_json(table) if args.output == "json" else _render_table(table, p))
@@ -231,16 +219,9 @@ def _render_value(v: Value, prefixes) -> str:
     return "(" + ", ".join(_render_value(i, prefixes) for i in v.items) + ")"
 
 
-def _cmd_lang(args) -> int:
-    kb = _load_kb(args.kb)
-    r = Reasoner(kb)
-    try:
-        with open(args.program, encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as exc:
-        raise _Environment(
-            f"cannot read program file {args.program!r}: {exc.strerror}") from exc
-    program = parse_program(source)
+def _cmd_lang(args, r: Reasoner) -> int:
+    program = parse_program(_read(args.program, "program"))
+    p = r.kb.prefixes
     mode = "tbox_only" if args.mode == "tbox-only" else "full"
     typecheck(r, program, mode)
 
@@ -251,8 +232,8 @@ def _cmd_lang(args) -> int:
         else:
             for name in program.definitions:
                 d = program.definitions[name]
-                params = ", ".join(type_name(t, kb.prefixes) for _, t in d.params)
-                print(f"OK {name}({params}): {type_name(d.return_type, kb.prefixes)}")
+                params = ", ".join(type_name(t, p) for _, t in d.params)
+                print(f"OK {name}({params}): {type_name(d.return_type, p)}")
             print("OK main")
         return 0
 
@@ -265,7 +246,7 @@ def _cmd_lang(args) -> int:
     if args.output == "json":
         print(json.dumps(_value_to_json(value)))
     else:
-        print(_render_value(value, kb.prefixes))
+        print(_render_value(value, p))
     return 0
 
 
@@ -328,21 +309,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    command = {"reason": _cmd_reason, "query": _cmd_query, "lang": _cmd_lang}[args.command]
     try:
-        if args.command == "reason":
-            return _cmd_reason(args)
-        if args.command == "query":
-            return _cmd_query(args)
-        return _cmd_lang(args)
+        return command(args, Reasoner(parse_kb(_read(args.kb, "KB"))))
     except ParseError as exc:
-        _emit_error("E-SYNTAX", (exc.line, exc.column), exc.message)
-        return 2
+        category, pos, message, code = "E-SYNTAX", (exc.line, exc.column), exc.message, 2
     except LangTypeError as exc:
-        _emit_error(exc.category, exc.pos, exc.message)
-        return 1
+        category, pos, message, code = exc.category, exc.pos, exc.message, 1
     except EvalError as exc:
-        _emit_error("E-RUNTIME", exc.pos, exc.message)
-        return 3
+        category, pos, message, code = "E-RUNTIME", exc.pos, exc.message, 3
     except RecursionError:
         # Input the parsers accepted but that nests too deeply to reason
         # over: a limit of the Python stack, not a fault of the input.
@@ -351,6 +326,8 @@ def main(argv: list[str] | None = None) -> int:
     except _Environment as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    print(f"ERROR {category} {pos[0]}:{pos[1]}\n{message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

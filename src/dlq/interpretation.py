@@ -1,17 +1,25 @@
-"""Finite interpretations: model checking and bounded model search.
+"""Reference semantics: the oracles the production code is tested against.
 
-An interpretation assigns a finite domain, extensions for atomic concepts
-and roles, and an element for every named object.  ``verify_model`` checks
-a knowledge base against one directly; ``bounded_model_search`` enumerates
-interpretations up to a size cap, with three-valued pruning so partial
-assignments that already violate an axiom are cut early.  Both are
-deliberately independent of the tableau calculus: they serve as its oracle.
+``verify_model`` checks a knowledge base against one finite interpretation
+directly; ``bounded_model_search`` enumerates interpretations up to a size
+cap, with three-valued pruning so partial assignments that already violate
+an axiom are cut early.  Both are deliberately independent of the tableau
+calculus.
+
+``denotational_eval`` is the executable definition of certain answers: it
+enumerates every candidate mapping over the query's variables and keeps
+those :func:`solves` recognises as solutions, consulting the reasoner for
+every atomic entailment.  It is exponential by design and exists as the
+oracle for the bottom-up evaluator of :mod:`dlq.algebra`; keep inputs
+desk-sized.
+
+No module of the package imports this one, so the ``dlq`` command runs
+only the production code.
 """
 
 from __future__ import annotations
 
-from ._record import record
-from typing import Mapping, Optional
+from typing import Iterator
 
 from .model import (
     And,
@@ -21,63 +29,31 @@ from .model import (
     ConceptAssertion,
     Exists,
     Forall,
+    Interpretation,
     Iri,
     KnowledgeBase,
     Nominal,
     Not,
     Or,
-    Role,
     SubClass,
     Top,
     concept_signature,
+    extension,
     signature,
 )
-
-
-@record(frozen=True, eq=False)
-class Interpretation:
-    """A finite Tarski-style interpretation over integer domain elements."""
-
-    domain: frozenset[int]
-    concept_ext: Mapping[Iri, frozenset[int]]
-    role_ext: Mapping[Iri, frozenset[tuple[int, int]]]
-    object_map: Mapping[Iri, int]
-
-    def role_pairs(self, role: Role) -> frozenset[tuple[int, int]]:
-        pairs = self.role_ext.get(role.iri, frozenset())
-        if role.inverse:
-            return frozenset((y, x) for x, y in pairs)
-        return pairs
-
-
-def extension(c: Concept, interp: Interpretation) -> frozenset[int]:
-    """The set of domain elements in the extension of ``c``."""
-    if isinstance(c, Top):
-        return interp.domain
-    if isinstance(c, Bottom):
-        return frozenset()
-    if isinstance(c, Atomic):
-        return interp.concept_ext.get(c.iri, frozenset())
-    if isinstance(c, Nominal):
-        elem = interp.object_map.get(c.obj)
-        return frozenset() if elem is None else frozenset([elem])
-    if isinstance(c, Not):
-        return interp.domain - extension(c.operand, interp)
-    if isinstance(c, And):
-        return extension(c.left, interp) & extension(c.right, interp)
-    if isinstance(c, Or):
-        return extension(c.left, interp) | extension(c.right, interp)
-    if isinstance(c, Exists):
-        filler = extension(c.filler, interp)
-        return frozenset(x for x, y in interp.role_pairs(c.role) if y in filler)
-    if isinstance(c, Forall):
-        filler = extension(c.filler, interp)
-        pairs = interp.role_pairs(c.role)
-        return frozenset(
-            x for x in interp.domain
-            if all(y in filler for px, y in pairs if px == x)
-        )
-    raise TypeError(f"not a concept: {c!r}")
+from .query import (
+    Join,
+    Minus,
+    Optional,
+    Pattern,
+    Query,
+    SolutionMapping,
+    Union,
+    Var,
+    query_vars,
+    satisfies,
+)
+from .reasoner import Reasoner
 
 
 def verify_model(interp: Interpretation, kb: KnowledgeBase) -> bool:
@@ -261,7 +237,7 @@ class _Search:
                 return _TRUE
         return acc
 
-    def run(self) -> Optional[Interpretation]:
+    def run(self) -> Interpretation | None:
         return self._extend(list(range(len(self.axioms))), goal_open=True)
 
     def _choose_slot(self, pending: list[int], goal_open: bool):
@@ -346,7 +322,7 @@ class _Search:
 
 def bounded_model_search(
     kb: KnowledgeBase, c: Concept, max_size: int
-) -> Optional[Interpretation]:
+) -> Interpretation | None:
     """A model of ``kb`` giving ``c`` a non-empty extension, at domain size
     <= ``max_size``, or None if no such interpretation exists.
 
@@ -358,3 +334,64 @@ def bounded_model_search(
         if found is not None:
             return found
     return None
+
+
+# --- certain answers by enumeration ------------------------------------------
+
+
+def solves(r: Reasoner, q: Query, mu: SolutionMapping) -> bool:
+    """Whether ``mu`` is a solution of ``q``: bindings arise only from the
+    parts of the query that actually matched (patterns bind exactly their
+    variables, each UNION branch answers for itself, MINUS binds nothing on
+    the right)."""
+    if isinstance(q, Pattern):
+        return mu.domain == query_vars(q) and satisfies(r, q, mu)
+    if isinstance(q, Join):
+        items = mu.bindings
+        n = len(items)
+        subsets = [SolutionMapping(tuple(items[i] for i in range(n) if mask >> i & 1))
+                   for mask in range(1 << n)]
+        for left in subsets:
+            if not solves(r, q.left, left):
+                continue
+            for right in subsets:
+                if left.domain | right.domain == mu.domain \
+                        and solves(r, q.right, right):
+                    return True
+        return False
+    if isinstance(q, Union):
+        return solves(r, q.left, mu) or solves(r, q.right, mu)
+    if isinstance(q, Minus):
+        return solves(r, q.left, mu) and not satisfies(r, q.right, mu)
+    if isinstance(q, Optional):
+        if (query_vars(q.right) - query_vars(q.left)) & mu.domain:
+            return solves(r, Join(q.left, q.right), mu)
+        return solves(r, q.left, mu)
+    raise TypeError(f"not a query: {q!r}")
+
+
+def all_partial_mappings(variables: frozenset[Var], objects: list[Iri]) -> Iterator[SolutionMapping]:
+    """Every partial map from the variables into the given objects."""
+    ordered = sorted(variables, key=lambda v: v.name)
+
+    def rec(index: int, acc: dict[Var, Iri]) -> Iterator[SolutionMapping]:
+        if index == len(ordered):
+            yield SolutionMapping.of(acc)
+            return
+        yield from rec(index + 1, acc)
+        for obj in objects:
+            acc[ordered[index]] = obj
+            yield from rec(index + 1, acc)
+            del acc[ordered[index]]
+
+    return rec(0, {})
+
+
+def denotational_eval(r: Reasoner, q: Query) -> frozenset[SolutionMapping]:
+    """Brute-force certain answers: test every candidate mapping over the
+    query's variables against :func:`solves`.  The oracle for the
+    algebraic evaluator."""
+    return frozenset(
+        mu for mu in all_partial_mappings(query_vars(q), r.objects)
+        if solves(r, q, mu)
+    )

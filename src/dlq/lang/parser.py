@@ -159,7 +159,7 @@ class _ProgramParser:
     def _prefix_decl(self) -> None:
         ts = self.ts
         ts.take_word("prefix")
-        tok = ts.peek()
+        alias_tok = tok = ts.peek()
         alias = ""
         if tok.kind == "WORD":
             alias = tok.text
@@ -169,7 +169,7 @@ class _ProgramParser:
             raise ts.error("expected ':' in prefix declaration")
         ts.next()
         if alias in self.prefixes:
-            raise ParseError(tok.line, tok.column,
+            raise ParseError(alias_tok.line, alias_tok.column,
                              f"duplicate prefix {alias + ':'!r}")
         iri_tok = ts.peek()
         if iri_tok.kind != "IRIREF":

@@ -24,7 +24,7 @@ from ..inference import (
     validate_query,
     validation_failure,
 )
-from ..kbtext import print_concept, print_role
+from ..kbtext import print_concept, print_role, shorten
 from ..model import Concept, Nominal, Or, TOP
 from ..reasoner import Reasoner
 from .syntax import (
@@ -159,7 +159,7 @@ class _Checker:
                 if self.mode == FULL and not self.r.entails_instance(t.iri, t.ascription):
                     raise LangTypeError(
                         "E-SUB", t.pos,
-                        f"{t.iri} is not provably an instance of "
+                        f"{shorten(t.iri, self.p)} is not provably an instance of "
                         f"`{print_concept(t.ascription, self.p)}`")
                 return ConceptType(t.ascription)
             if self.mode == TBOX_ONLY:

@@ -4,7 +4,9 @@ Concept expressions are built from atomic concepts, single-object nominals,
 top/bottom, boolean connectives and qualified existential/universal
 quantification over (possibly inverted) roles.  A knowledge base pairs a
 T-Box of inclusion/equivalence axioms with an A-Box of concept and role
-assertions, plus the prefix table used by the textual format.
+assertions, plus the prefix table used by the textual format.  A finite
+:class:`Interpretation` gives the syntax its meaning: :func:`extension`
+is the set of domain elements a concept denotes in one.
 
 All nodes are immutable and hashable so trees can live in sets, serve as
 cache keys and be shared freely across threads.
@@ -315,3 +317,49 @@ def nnf(c: Concept) -> Concept:
 def negated(c: Concept) -> Concept:
     """nnf(¬c), the form used for clash detection and refutation probes."""
     return nnf(Not(c))
+
+
+@record(frozen=True, eq=False)
+class Interpretation:
+    """A finite Tarski-style interpretation over integer domain elements."""
+
+    domain: frozenset[int]
+    concept_ext: Mapping[Iri, frozenset[int]]
+    role_ext: Mapping[Iri, frozenset[tuple[int, int]]]
+    object_map: Mapping[Iri, int]
+
+    def role_pairs(self, role: Role) -> frozenset[tuple[int, int]]:
+        pairs = self.role_ext.get(role.iri, frozenset())
+        if role.inverse:
+            return frozenset((y, x) for x, y in pairs)
+        return pairs
+
+
+def extension(c: Concept, interp: Interpretation) -> frozenset[int]:
+    """The set of domain elements in the extension of ``c``."""
+    if isinstance(c, Top):
+        return interp.domain
+    if isinstance(c, Bottom):
+        return frozenset()
+    if isinstance(c, Atomic):
+        return interp.concept_ext.get(c.iri, frozenset())
+    if isinstance(c, Nominal):
+        elem = interp.object_map.get(c.obj)
+        return frozenset() if elem is None else frozenset([elem])
+    if isinstance(c, Not):
+        return interp.domain - extension(c.operand, interp)
+    if isinstance(c, And):
+        return extension(c.left, interp) & extension(c.right, interp)
+    if isinstance(c, Or):
+        return extension(c.left, interp) | extension(c.right, interp)
+    if isinstance(c, Exists):
+        filler = extension(c.filler, interp)
+        return frozenset(x for x, y in interp.role_pairs(c.role) if y in filler)
+    if isinstance(c, Forall):
+        filler = extension(c.filler, interp)
+        pairs = interp.role_pairs(c.role)
+        return frozenset(
+            x for x in interp.domain
+            if all(y in filler for px, y in pairs if px == x)
+        )
+    raise TypeError(f"not a concept: {c!r}")

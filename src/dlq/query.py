@@ -1,17 +1,11 @@
 """Query algebra over a knowledge base: abstract syntax, the surface
-parser, and brute-force certain-answer semantics.
+parser, and the per-mapping truth condition.
 
 A query is a tree of concept/role patterns combined with join, UNION,
 MINUS and OPTIONAL; the patterns are the tree's leaves, query nodes
 themselves.  Answers are partial mappings from variables to named
 objects that the knowledge base *entails* to match (certain answers under
 the open world, not mere graph matches).
-
-``denotational_eval`` is the executable definition: it enumerates every
-candidate mapping over the query's variables and keeps those recognised
-as solutions, consulting the reasoner for every atomic entailment.  It is
-exponential by design and exists as the oracle for the bottom-up
-evaluator; keep inputs desk-sized.
 
 Surface form::
 
@@ -40,8 +34,7 @@ __all__ = [
     "Join", "Union", "Minus", "Optional", "Query",
     "SelectQuery", "SolutionMapping",
     "query_vars", "substitute_splices",
-    "parse_query", "satisfies", "solves", "all_partial_mappings",
-    "denotational_eval",
+    "parse_query", "satisfies",
 ]
 
 
@@ -374,61 +367,3 @@ def satisfies(r: Reasoner, q: Query, mu: SolutionMapping) -> bool:
             return satisfies(r, q.left, mu) and satisfies(r, q.right, mu)
         return satisfies(r, q.left, mu)
     raise TypeError(f"not a query: {q!r}")
-
-
-def solves(r: Reasoner, q: Query, mu: SolutionMapping) -> bool:
-    """Whether ``mu`` is a solution of ``q``: bindings arise only from the
-    parts of the query that actually matched (patterns bind exactly their
-    variables, each UNION branch answers for itself, MINUS binds nothing on
-    the right)."""
-    if isinstance(q, Pattern):
-        return mu.domain == query_vars(q) and _pattern_holds(r, q, mu)
-    if isinstance(q, Join):
-        items = mu.bindings
-        n = len(items)
-        subsets = [SolutionMapping(tuple(items[i] for i in range(n) if mask >> i & 1))
-                   for mask in range(1 << n)]
-        for left in subsets:
-            if not solves(r, q.left, left):
-                continue
-            for right in subsets:
-                if left.domain | right.domain == mu.domain \
-                        and solves(r, q.right, right):
-                    return True
-        return False
-    if isinstance(q, Union):
-        return solves(r, q.left, mu) or solves(r, q.right, mu)
-    if isinstance(q, Minus):
-        return solves(r, q.left, mu) and not satisfies(r, q.right, mu)
-    if isinstance(q, Optional):
-        if (query_vars(q.right) - query_vars(q.left)) & mu.domain:
-            return solves(r, Join(q.left, q.right), mu)
-        return solves(r, q.left, mu)
-    raise TypeError(f"not a query: {q!r}")
-
-
-def all_partial_mappings(variables: frozenset[Var], objects: list[Iri]) -> Iterator[SolutionMapping]:
-    """Every partial map from the variables into the given objects."""
-    ordered = sorted(variables, key=lambda v: v.name)
-
-    def rec(index: int, acc: dict[Var, Iri]) -> Iterator[SolutionMapping]:
-        if index == len(ordered):
-            yield SolutionMapping.of(acc)
-            return
-        yield from rec(index + 1, acc)
-        for obj in objects:
-            acc[ordered[index]] = obj
-            yield from rec(index + 1, acc)
-            del acc[ordered[index]]
-
-    return rec(0, {})
-
-
-def denotational_eval(r: Reasoner, q: Query) -> frozenset[SolutionMapping]:
-    """Brute-force certain answers: test every candidate mapping over the
-    query's variables against :func:`solves`.  The oracle for the
-    algebraic evaluator."""
-    return frozenset(
-        mu for mu in all_partial_mappings(query_vars(q), r.objects)
-        if solves(r, q, mu)
-    )

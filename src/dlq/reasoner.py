@@ -30,17 +30,18 @@ from __future__ import annotations
 from ._record import record
 from typing import Iterable, Optional
 
-from .interpretation import Interpretation, extension
 from .model import (
     And,
     Concept,
     Exists,
+    Interpretation,
     Iri,
     KnowledgeBase,
     Nominal,
     Not,
     Role,
     concept_signature,
+    extension,
 )
 from .tableau import Tableau
 

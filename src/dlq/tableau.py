@@ -57,7 +57,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Optional
 
-from .interpretation import Interpretation
 from .model import (
     And,
     Atomic,
@@ -67,6 +66,7 @@ from .model import (
     ConceptAssertion,
     Exists,
     Forall,
+    Interpretation,
     Iri,
     KnowledgeBase,
     Nominal,

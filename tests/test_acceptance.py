@@ -21,9 +21,14 @@ from dlq.inference import (
     resolve_references,
     validate_query,
 )
-from dlq.interpretation import bounded_model_search, extension, verify_model
+from dlq.interpretation import (
+    bounded_model_search,
+    denotational_eval,
+    extension,
+    verify_model,
+)
 from dlq.model import And, Atomic, Not, Role
-from dlq.query import Var, denotational_eval, parse_query
+from dlq.query import Var, parse_query
 from dlq.reasoner import Reasoner
 from support import _random_simple_concept, generated_instances, iri, random_kb
 

@@ -6,12 +6,12 @@ import random
 import pytest
 
 from dlq.algebra import ResultTable, eval_algebraic, project, run_select, table_to_json
+from dlq.interpretation import denotational_eval
 from dlq.model import Iri
 from dlq.query import (
     IriElem,
     SolutionMapping,
     Var,
-    denotational_eval,
     parse_query,
     query_vars,
     substitute_splices,

@@ -58,11 +58,23 @@ class TestReason:
         assert model["concepts"][":Chair"]
         assert set(model["objects"].values()) <= set(model["domain"])
 
+    def test_show_model_json_carries_the_same_model(self, capsys):
+        _, text, _ = run(capsys, "reason", "sat", ":Chair", "--kb", KB, "--show-model")
+        code, out, err = run(capsys, "reason", "sat", ":Chair", "--kb", KB,
+                             "--show-model", "--output", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"result": True,
+                                   "model": json.loads(text.partition("\n")[2])}
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "reason", "sub", ":Chair", ":Person",
                            "--kb", KB, "--output", "json")
         assert code == 0
         assert json.loads(out) == {"result": True}
+
+    def test_object_argument_must_be_a_name(self, capsys):
+        assert run(capsys, "reason", "instance", "{:alice}", ":Person", "--kb", KB) == (
+            2, "", "ERROR E-SYNTAX 1:1\nexpected an object name, got '{:alice}'\n")
 
     @pytest.mark.parametrize("argv", [
         ["reason", "sub", ":Chair", ":Person"],
@@ -284,13 +296,16 @@ class TestQuery:
         assert code == 2
         assert "$org" in err
 
-    @pytest.mark.parametrize("action, value", [("type", ":Nonsense"), ("run", "notaniri")])
-    def test_unknown_splice_is_a_usage_error(self, capsys, action, value):
+    @pytest.mark.parametrize("action, splice, message", [
+        ("type", "typo=:Nonsense", "unknown --splice for: $typo"),
+        ("run", "typo=notaniri", "unknown --splice for: $typo"),
+        ("type", "foo", "--splice expects name=VALUE, got 'foo'"),
+        ("run", "foo", "--splice expects name=VALUE, got 'foo'"),
+    ])
+    def test_bad_splice_argument_is_a_usage_error(self, capsys, action, splice, message):
         query = "SELECT ?x WHERE { ?x a :Person }"
-        code, out, err = run(capsys, "query", action, query, "--kb", KB,
-                             "--splice", f"typo={value}")
-        assert (code, out) == (2, "")
-        assert err == "ERROR E-SYNTAX 1:1\nunknown --splice for: $typo\n"
+        assert run(capsys, "query", action, query, "--kb", KB, "--splice", splice) == (
+            2, "", f"ERROR E-SYNTAX 1:1\n{message}\n")
 
     @pytest.mark.parametrize("action, first, second", [
         ("type", ":Employee", ":Person"), ("run", ":csdept", ":softlang")])
@@ -310,6 +325,15 @@ class TestLang:
         assert lines[0].startswith("OK researchGroups")
         assert lines[1].startswith("OK supervises")
         assert lines[-1] == "OK main"
+
+    def test_check_json_lists_the_definitions(self, capsys):
+        assert run(capsys, "lang", "check", PROGRAM, "--kb", KB, "--output", "json") == (
+            0, '{"ok": true, "definitions": ["researchGroups", "supervises"]}\n', "")
+
+    def test_missing_program_exits_4(self, capsys, tmp_path):
+        path = str(tmp_path / "no-such.dlq")
+        assert run(capsys, "lang", "run", path, "--kb", KB) == (
+            4, "", f"error: cannot read program file {path!r}: No such file or directory\n")
 
     def test_run_empty_on_base_kb(self, capsys):
         code, out, _ = run(capsys, "lang", "run", PROGRAM, "--kb", KB)
@@ -358,6 +382,8 @@ class TestProgramScenarios:
 
     RA = "`inv(:worksFor) some :worksFor some Thing`"
     RB = "`:worksFor some inv(:worksFor) some Thing`"
+    BOOL = "main = nonEmpty(iri(:softlang).`inv(:worksFor)`)"
+    TUPLE = 'main = head(query "SELECT ?x ?y WHERE { ?y :worksFor ?x }")'
     CASES = [
         pytest.param(
             "check",
@@ -409,8 +435,29 @@ class TestProgramScenarios:
             'main = query "SELECT ?x ?y WHERE { ?x a :Person OPTIONAL { ?x :worksFor ?y } }"',
             3, "", "ERROR E-RUNTIME 2:8\nvariable ?y is unbound in a solution\n",
             id="unbound-optional"),
+        pytest.param(
+            "check", "main = iri(:softlang) : `:Person`",
+            1, "", "ERROR E-SUB 2:8\n:softlang is not provably an instance of `:Person`\n",
+            id="unproven-ascription"),
+        pytest.param(
+            "check", "main = match nil[`:Person`] { case _ => iri(:bob) }",
+            1, "", "ERROR E-SUB 2:14\n"
+            "match subject must have a concept type, got List[`:Person`]\n",
+            id="match-on-a-list"),
+        pytest.param(
+            "check", "prefix ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+            "def f(p: `ub:Person`): `ub:Person` = p\nmain = f(iri(ub:bob))",
+            0, "OK f(`:Person`): `:Person`\nOK main\n", "",
+            id="named-prefix-alias"),
         pytest.param("run", "main = (iri(:bob))", 0, ":bob\n", "",
                      id="parenthesised-term"),
+        pytest.param("run", BOOL, 0, "true\n", "", id="bool-main"),
+        pytest.param("run --output json", BOOL, 0, "true\n", "", id="bool-main-json"),
+        pytest.param("run", TUPLE, 0, "(:softlang, :bob)\n", "", id="tuple-main"),
+        pytest.param("run --output json", TUPLE, 0,
+                     '["http://swat.cse.lehigh.edu/onto/univ-bench.owl#softlang", '
+                     '"http://swat.cse.lehigh.edu/onto/univ-bench.owl#bob"]\n', "",
+                     id="tuple-main-json"),
         pytest.param("run", "main = iri(:softlang).`inv(:worksFor)`", 0, "[:bob]\n", "",
                      id="inverse-projection"),
     ]
@@ -420,7 +467,8 @@ class TestProgramScenarios:
         path = tmp_path / "scenario.dlq"
         path.write_text(
             "prefix : <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n" + source + "\n")
-        assert run(capsys, "lang", action, str(path), "--kb", KB) == (code, out, err)
+        assert run(capsys, "lang", *action.split(), str(path), "--kb", KB) == (
+            code, out, err)
 
 
 class TestErrorCorpus:

@@ -257,7 +257,8 @@ class TestSoundnessBridge:
         documented limit of the inference rules."""
         from dlq.algebra import eval_algebraic
         from dlq.model import ConceptAssertion, KnowledgeBase
-        from dlq.query import SolutionMapping, Union, denotational_eval
+        from dlq.interpretation import denotational_eval
+        from dlq.query import SolutionMapping, Union
         C, D, E = Atomic(iri("A")), Atomic(iri("B")), Atomic(iri("C"))
         a, c = iri("o1"), iri("o2")
         kb = KnowledgeBase(abox=(ConceptAssertion(a, C), ConceptAssertion(c, D)))

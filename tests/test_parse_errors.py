@@ -53,6 +53,11 @@ CASES = [
      (2, 10, "tuple types need at least two components")),
     ("program", H + "def f(p: `:A\n  :B`): `:A` = p\nmain = f(iri(:a))",
      (3, 3, "trailing input in back-quoted expression, found ':B'")),
+    ("program", "prefix ub: <http://a#>\nprefix ub: <http://a#>\nmain = iri(ub:a)",
+     (2, 8, "duplicate prefix 'ub:'")),
+    ("program", H + H + "main = iri(:a)", (2, 8, "duplicate prefix ':'")),
+    ("kb", "prefix ub: <http://a#>\nprefix ub: <http://a#>",
+     (2, 8, "duplicate prefix 'ub:'")),
     ("concept", "inv(:r) :A", (1, 9, "expected 'some' or 'only'")),
     ("kb", H + ":X SubClassOf inv(:r) :A\n", (2, 23, "expected 'some' or 'only'")),
 ]

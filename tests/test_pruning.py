@@ -11,7 +11,7 @@ import pathlib
 import pytest
 
 from dlq.algebra import eval_algebraic, project
-from dlq.interpretation import verify_model
+from dlq.interpretation import denotational_eval, verify_model
 from dlq.kbtext import parse_kb
 from dlq.model import (
     BOTTOM,
@@ -24,7 +24,7 @@ from dlq.model import (
     RoleAssertion,
     SubClass,
 )
-from dlq.query import SolutionMapping, Var, denotational_eval, parse_query
+from dlq.query import SolutionMapping, Var, parse_query
 from dlq.reasoner import Reasoner
 from dlq.tableau import Tableau
 from support import EX, generated_instances, iri

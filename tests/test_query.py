@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dlq.interpretation import denotational_eval
 from dlq.kbtext import ParseError
 from dlq.model import Atomic, ConceptAssertion, Role
 from dlq.query import (
@@ -20,7 +21,6 @@ from dlq.query import (
     Union,
     Var,
     VarElem,
-    denotational_eval,
     parse_query,
     query_vars,
     substitute_splices,

@@ -13,12 +13,14 @@ from dlq.model import (
     BOTTOM,
     ConceptAssertion,
     Forall,
+    Interpretation,
     Iri,
     KnowledgeBase,
     Nominal,
     Not,
     Or,
     Role,
+    RoleAssertion,
     SubClass,
     TOP,
     concept_signature,
@@ -220,7 +222,6 @@ class TestVerifyModel:
     def test_abox_only_model(self, university_kb, uobj, uc):
         abox_only = KnowledgeBase(abox=university_kb.abox,
                                   prefixes=university_kb.prefixes)
-        from dlq.interpretation import Interpretation
         uni = university_kb.prefixes[""]
         model = Interpretation(
             domain=frozenset([0, 1, 2]),
@@ -232,7 +233,6 @@ class TestVerifyModel:
         assert verify_model(model, abox_only)
 
     def test_disjointness_violation_detected(self, university_kb, uobj):
-        from dlq.interpretation import Interpretation
         uni = university_kb.prefixes[""]
         bad = Interpretation(
             domain=frozenset([0]),
@@ -242,6 +242,46 @@ class TestVerifyModel:
             object_map={uobj("alice"): 0, uobj("bob"): 0, uobj("softlang"): 0},
         )
         assert not verify_model(bad, university_kb)
+
+    # A ⊑ B, {c} ⊑ B, a : A, r(a, b); each row breaks one thing a model
+    # needs, and only that thing, so each rejection branch is the one
+    # that decides its row.
+    A, B, a, b, c = Atomic(iri("A")), Atomic(iri("B")), iri("a"), iri("b"), iri("c")
+    TINY = KnowledgeBase(
+        tbox=(SubClass(A, B), SubClass(Nominal(c), B)),
+        abox=(ConceptAssertion(a, A), RoleAssertion(a, Role(iri("r")), b)))
+    MODEL = {"domain": frozenset([0, 1]),
+             "concept_ext": {iri("A"): frozenset([0]), iri("B"): frozenset([0])},
+             "role_ext": {iri("r"): frozenset([(0, 1)])},
+             "object_map": {a: 0, b: 1, c: 0}}
+    BROKEN = [
+        pytest.param(KnowledgeBase(), {"domain": frozenset(), "concept_ext": {},
+                                       "role_ext": {}, "object_map": {}},
+                     id="empty-domain"),
+        pytest.param(TINY, {"concept_ext": {**MODEL["concept_ext"],
+                                            iri("C"): frozenset([5])}},
+                     id="concept-extension-outside-domain"),
+        pytest.param(TINY, {"role_ext": {**MODEL["role_ext"],
+                                         iri("s"): frozenset([(0, 5)])}},
+                     id="role-pair-outside-domain"),
+        pytest.param(TINY, {"object_map": {a: 0, b: 1, c: 0, iri("d"): 5}},
+                     id="object-image-outside-domain"),
+        pytest.param(TINY, {"object_map": {a: 0, b: 1}}, id="kb-object-unmapped"),
+        pytest.param(TINY, {"concept_ext": {iri("A"): frozenset([0, 1]),
+                                            iri("B"): frozenset([0])}},
+                     id="violated-gci"),
+        pytest.param(TINY, {"concept_ext": {iri("B"): frozenset([0])}},
+                     id="violated-concept-assertion"),
+        pytest.param(TINY, {"role_ext": {iri("r"): frozenset([(1, 0)])}},
+                     id="violated-role-assertion"),
+    ]
+
+    def test_the_tiny_model_is_a_model(self):
+        assert verify_model(Interpretation(**self.MODEL), self.TINY)
+
+    @pytest.mark.parametrize("kb, changes", BROKEN)
+    def test_each_rejection_branch(self, kb, changes):
+        assert not verify_model(Interpretation(**{**self.MODEL, **changes}), kb)
 
 
 class TestBoundedSearch:

@@ -40,6 +40,7 @@ def test_cli_import_loads_every_layer_but_not_dataclasses():
                           capture_output=True, text=True, check=True)
     loaded = set(json.loads(done.stdout))
     assert not loaded & {"dataclasses", "inspect"}
+    assert "dlq.interpretation" not in loaded
     assert {"dlq.query", "dlq.algebra", "dlq.inference", "dlq.lang.parser",
             "dlq.lang.typecheck", "dlq.lang.interp"} <= loaded
 
