@@ -242,6 +242,32 @@ def signature(kb: KnowledgeBase) -> Signature:
     concepts: set[Iri] = set()
     roles: set[Iri] = set()
     objects: set[Iri] = set()
+    _collect_kb(kb, concepts, roles, objects)
+    return Signature(frozenset(concepts), frozenset(roles), frozenset(objects))
+
+
+def object_names(kb: KnowledgeBase) -> set[Iri]:
+    """``signature(kb).objects``, without hashing the concept and role
+    names into sets nobody reads."""
+    objects: set[Iri] = set()
+    _collect_kb(kb, _DISCARD, _DISCARD, objects)
+    return objects
+
+
+class _Discard(set):
+    """A set that keeps nothing: the sink for names a caller does not want."""
+
+    __slots__ = ()
+
+    def add(self, _name: Iri) -> None:
+        pass
+
+
+_DISCARD = _Discard()
+
+
+def _collect_kb(kb: KnowledgeBase, concepts: set[Iri], roles: set[Iri],
+                objects: set[Iri]) -> None:
     for axiom in kb.tbox:
         if isinstance(axiom, SubClass):
             _collect(axiom.sub, concepts, roles, objects)
@@ -257,7 +283,6 @@ def signature(kb: KnowledgeBase) -> Signature:
             objects.add(assertion.subject)
             objects.add(assertion.obj)
             roles.add(assertion.role.iri)
-    return Signature(frozenset(concepts), frozenset(roles), frozenset(objects))
 
 
 def concept_depth(c: Concept) -> int:

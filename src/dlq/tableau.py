@@ -40,13 +40,33 @@ for them.  One sweep over the labels (lowest node id first; within a
 label, insertion order) finds the first nominal merge, else the first
 disjunction with at most one non-clashing side, which is applied without a
 choice point, else the first real choice point.  Only when it finds no
-merge or decided disjunction does a second sweep look for an unwitnessed
-∃ on an unblocked node, so successors are generated before the first
-real choice point.  Real choice points are explored depth-first from an
-explicit stack of pending graphs (so the number of choice points is not
-bounded by Python's recursion limit), first choice first.  Labels and
-edge role sets keep insertion order, so runs are reproducible whatever
-the hash seed.
+merge or decided disjunction does the ∃ rule run, so successors are
+generated before the first real choice point.
+
+The ∃ rule reads an agenda, not the labels.  An ∃ joins the agenda, with
+its node, when it enters a label.  The rule expands the first unwitnessed
+entry on an unblocked node, in the sweep's order.  An entry is retired
+once a neighbour over its role holds its filler.  That is sound for three
+reasons:
+
+* labels and edges only grow between merges;
+* a merge gives the node it keeps the label and edges of the node it
+  deletes;
+* an anonymous node's neighbours are its parent, its children and roots,
+  so its witness is blocked indirectly only when the node itself is
+  blocked, and is pruned only with the node.
+
+The exception is a root whose witness is an anonymous node other than its
+own child; a merge leaves such edges.  That witness can become indirectly
+blocked, or be pruned with a merged subtree, so the entry stays and is
+checked again.  The blocking map is computed at most once per ∃ step, and
+only when an unwitnessed entry on an anonymous node, or such a witness,
+needs it.
+
+Real choice points are explored depth-first from an explicit stack of
+pending graphs (so the number of choice points is not bounded by Python's
+recursion limit), first choice first.  Labels and edge role sets keep
+insertion order, so runs are reproducible whatever the hash seed.
 
 From a clash-free completed graph a finite model is read off directly:
 blocked nodes are dropped and edges into them are redirected to their
@@ -79,7 +99,7 @@ from .model import (
     concept_signature,
     negated,
     nnf,
-    signature,
+    object_names,
 )
 
 class _Graph:
@@ -91,12 +111,15 @@ class _Graph:
     ``edges[a][b]`` and inv(r) under ``edges[b][a]``.  Every iteration
     order below is deterministic without sorting.  Until a clash, labels
     stay closed under unfolding, ⊓ and ∀: every ⊓ has both conjuncts beside
-    it, and every ∀r.C has C in the label of each r-neighbour.  The
-    unfolding table and the negation lookup belong to the tableau and are
-    shared by every copy.
+    it, and every ∀r.C has C in the label of each r-neighbour.  ``agenda``
+    lists (node, ∃) in the order the ∃s entered labels; the ∃ rule drops
+    the entries of deleted nodes and the entries whose witness lasts (see
+    the module docstring), so it holds every unwitnessed ∃.  The unfolding
+    table and the negation lookup belong to the tableau and are shared by
+    every copy.
     """
 
-    __slots__ = ("labels", "parent", "edges", "clashed", "next_id",
+    __slots__ = ("labels", "parent", "edges", "agenda", "clashed", "next_id",
                  "unfolding", "neg")
 
     def __init__(self, unfolding: dict[Concept, tuple[Concept, ...]],
@@ -104,6 +127,7 @@ class _Graph:
         self.labels: dict[int, dict[Concept, None]] = {}
         self.parent: dict[int, Optional[int]] = {}
         self.edges: dict[int, dict[int, dict[Role, None]]] = {}
+        self.agenda: list[tuple[int, Exists]] = []
         self.clashed = False
         self.next_id = 0
         self.unfolding = unfolding
@@ -114,6 +138,7 @@ class _Graph:
         g.labels = {n: dict(lbl) for n, lbl in self.labels.items()}
         g.parent = dict(self.parent)
         g.edges = {n: {m: dict(r) for m, r in adj.items()} for n, adj in self.edges.items()}
+        g.agenda = list(self.agenda)
         g.clashed = self.clashed
         g.next_id = self.next_id
         g.unfolding = self.unfolding
@@ -155,6 +180,8 @@ class _Graph:
                 todo += ((node, c.left), (node, c.right))
             elif isinstance(c, Forall):
                 todo.extend((y, c.filler) for y in self.neighbors(node, c.role))
+            elif isinstance(c, Exists):
+                self.agenda.append((node, c))
             elif isinstance(c, Not):
                 if c.operand in label:
                     self.clashed = True
@@ -300,7 +327,7 @@ class Tableau:
         self.kb = kb
         self.unfolding, self.internalized = _absorb(kb.gcis())
         self.named: tuple[Iri, ...] = tuple(
-            sorted(signature(kb).objects, key=lambda i: i.value))
+            sorted(object_names(kb), key=lambda i: i.value))
         self._negations: dict[Concept, Concept] = {}
 
     def _neg(self, c: Concept) -> Concept:
@@ -411,25 +438,41 @@ class Tableau:
         return None, decided or choice
 
     def _apply_exists(self, graph: _Graph) -> bool:
-        direct, blocked = graph.blocking()
-        indirect = blocked - direct.keys()
-        # Returns as soon as it adds a node, so the label dict is never
-        # iterated after a change.
-        for node in graph.labels:
-            if node in blocked:
+        """Give a new successor to the first unwitnessed ∃ on an unblocked
+        node, in the sweep's order (lowest node id, then label order);
+        False if there is none.  Retires the agenda entries whose witness
+        lasts (see the module docstring)."""
+        labels, parent = graph.labels, graph.parent
+        # (node, ∃, the root's witnesses that may stop counting)
+        open_: list[tuple[int, Exists, list[int]]] = []
+        for node, c in graph.agenda:
+            if node not in labels:  # deleted by a merge
                 continue
-            for c in graph.labels[node]:
-                if isinstance(c, Exists):
-                    # A directly blocked witness is fine (its blocker stands
-                    # in for it in the extracted model); an indirectly
-                    # blocked one disappears entirely, so it does not count.
-                    if any(c.filler in graph.labels[y]
-                           for y in graph.neighbors(node, c.role)
-                           if y not in indirect):
-                        continue
-                    child = graph.new_node(node, (c.filler,) + self.internalized)
-                    graph.add_edge(node, child, c.role)
-                    return True
+            root = parent[node] is None
+            doubtful: list[int] = []
+            for y in graph.neighbors(node, c.role):
+                if c.filler in labels[y]:
+                    if not root or parent[y] is None or parent[y] == node:
+                        break
+                    doubtful.append(y)
+            else:
+                open_.append((node, c, doubtful))
+        graph.agenda = [(node, c) for node, c, _ in open_]
+        indirect = blocked = None
+        # sorted() is stable, so one node's entries keep their label order.
+        for node, c, doubtful in sorted(open_, key=lambda entry: entry[0]):
+            if doubtful or parent[node] is not None:
+                if blocked is None:
+                    direct, blocked = graph.blocking()
+                    indirect = blocked - direct.keys()
+                # A directly blocked witness is fine (its blocker stands in
+                # for it in the extracted model); an indirectly blocked one
+                # disappears entirely, so it does not count.
+                if node in blocked or any(y not in indirect for y in doubtful):
+                    continue
+            child = graph.new_node(node, (c.filler,) + self.internalized)
+            graph.add_edge(node, child, c.role)
+            return True
         return False
 
     # -- model extraction --------------------------------------------------

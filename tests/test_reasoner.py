@@ -12,6 +12,7 @@ from dlq.model import (
     Atomic,
     BOTTOM,
     ConceptAssertion,
+    Exists,
     Forall,
     Interpretation,
     Iri,
@@ -27,7 +28,7 @@ from dlq.model import (
     negated,
 )
 from dlq.reasoner import Reasoner
-from dlq.tableau import _Graph
+from dlq.tableau import Tableau, _Graph
 from support import iri, random_kb, _random_simple_concept
 
 
@@ -216,6 +217,59 @@ class TestBlocking:
     def test_the_later_of_two_equal_children_is_blocked_with_its_subtree(self):
         g, first, second, grandchild = self._graph(Role(iri("r")))
         assert g.blocking() == ({second: first}, {second, grandchild})
+
+
+class TestExistsRecheck:
+    """An ∃ on a named node whose only witness is an anonymous node that is
+    not the named node's child stays on the ∃ agenda: the witness can stop
+    counting later, and the run must then add a successor of its own.
+
+    The graph is built by hand: named nodes for :o (holding ∃r.A), :q and
+    :w, then two children of :q, the first holding B, and below the second
+    (``middle``) the node y holding A, with an r-edge from :o to y (a merge
+    leaves such edges)."""
+
+    A, B = Atomic(iri("A")), Atomic(iri("B"))
+    r, s, t = Role(iri("r")), Role(iri("s")), Role(iri("t"))
+    KB = KnowledgeBase(abox=(ConceptAssertion(iri("o"), Exists(r, A)),))
+
+    def _run(self, grow) -> _Graph:
+        """Complete the graph, call ``grow(graph, middle)``, complete it
+        again, and check that :o got exactly one successor of its own and
+        that the graph yields a model of the KB."""
+        tableau = Tableau(self.KB)
+        g = _Graph({}, negated)
+        o = g.new_node(None, (Nominal(iri("o")), Exists(self.r, self.A)))
+        q = g.new_node(None, (Nominal(iri("q")),))
+        g.new_node(None, (Nominal(iri("w")),))
+        first = g.new_node(q, (self.B,))
+        g.add_edge(q, first, self.s)
+        middle = g.new_node(q, ())
+        g.add_edge(q, middle, self.s)
+        y = g.new_node(middle, (self.A,))
+        g.add_edge(middle, y, self.t)
+        g.add_edge(o, y, self.r)
+
+        def own_successors() -> list[int]:
+            return [n for n, par in g.parent.items() if par == o and self.A in g.labels[n]]
+
+        assert tableau._expand(g) is g and own_successors() == []
+        grow(g, middle)
+        assert tableau._expand(g) is g and len(own_successors()) == 1
+        assert verify_model(tableau.model_of(g), self.KB)
+        return g
+
+    def test_an_indirectly_blocked_witness_stops_counting(self):
+        # The middle node's key becomes the first child's, so it is blocked
+        # and y, below it, is blocked indirectly.
+        g = self._run(lambda g, middle: g.add(middle, self.B))
+        direct, blocked = g.blocking()
+        assert len(direct) == 1 and len(blocked) == 2
+
+    def test_a_merge_that_prunes_the_witness_leaves_the_exists_open(self):
+        # Naming the middle node merges it into :w and prunes y with it.
+        g = self._run(lambda g, middle: g.add(middle, Nominal(iri("w"))))
+        assert len(g.labels) == 5   # :o, :q, :w, the first child, :o's successor
 
 
 class TestVerifyModel:
