@@ -27,7 +27,6 @@ from ._record import record
 from .model import Iri
 from .query import (
     ConceptPattern,
-    IriElem,
     Join,
     Minus,
     Optional,
@@ -35,10 +34,9 @@ from .query import (
     Query,
     SelectQuery,
     SolutionMapping,
-    SpliceElem,
     Union,
     Var,
-    VarElem,
+    elem_value,
     query_vars,
     satisfies,
     substitute_splices,
@@ -52,41 +50,25 @@ _EMPTY = SolutionMapping(())
 
 def _eval_pattern(r: Reasoner, p: Pattern) -> frozenset[SolutionMapping]:
     if isinstance(p, ConceptPattern):
-        if isinstance(p.elem, IriElem):
-            entailed = r.entails_instance(p.elem.iri, p.concept)
-            return frozenset([_EMPTY]) if entailed else frozenset()
-        assert isinstance(p.elem, VarElem), "splices must be resolved before evaluation"
-        var = p.elem.var
+        a = elem_value(p.elem, _EMPTY)
+        if a is not None:
+            return frozenset([_EMPTY]) if r.entails_instance(a, p.concept) else frozenset()
         return frozenset(
-            SolutionMapping.of({var: obj}) for obj in r.named_instances(p.concept)
+            SolutionMapping.of({p.elem: obj}) for obj in r.named_instances(p.concept)
         )
 
     subject, role, obj = p.subject, p.role, p.obj
     if role.inverse:
         subject, obj, role = obj, subject, role.inverted()
-    assert not isinstance(subject, SpliceElem) and not isinstance(obj, SpliceElem), \
-        "splices must be resolved before evaluation"
-    if isinstance(subject, IriElem) and isinstance(obj, IriElem):
-        entailed = r.entails_role(subject.iri, role, obj.iri)
-        return frozenset([_EMPTY]) if entailed else frozenset()
-    if isinstance(subject, IriElem):
+    a, b = elem_value(subject, _EMPTY), elem_value(obj, _EMPTY)
+    if a is None and subject == obj:
         return frozenset(
-            SolutionMapping.of({obj.var: b})
-            for _, b in r.named_role_pairs(role, subject=subject.iri)
-        )
-    if isinstance(obj, IriElem):
-        return frozenset(
-            SolutionMapping.of({subject.var: a})
-            for a, _ in r.named_role_pairs(role, obj=obj.iri)
-        )
-    if subject.var == obj.var:
-        return frozenset(
-            SolutionMapping.of({subject.var: a}) for a in r.objects
-            if r.named_role_pairs(role, a, a)
+            SolutionMapping.of({subject: x}) for x in r.objects
+            if r.named_role_pairs(role, x, x)
         )
     return frozenset(
-        SolutionMapping.of({subject.var: a, obj.var: b})
-        for a, b in r.named_role_pairs(role)
+        SolutionMapping.of({e: x for e, x in ((subject, s), (obj, o)) if isinstance(e, Var)})
+        for s, o in r.named_role_pairs(role, a, b)
     )
 
 
@@ -145,7 +127,7 @@ def project(solutions: frozenset[SolutionMapping],
 def run_select(r: Reasoner, sq: SelectQuery, values: Mapping[str, Iri]) -> ResultTable:
     """The result table of ``sq`` with every splice replaced by its IRI in
     ``values``."""
-    body = substitute_splices(sq.body, {s: IriElem(v) for s, v in values.items()})
+    body = substitute_splices(sq.body, values)
     return project(eval_algebraic(r, body), sq.select_vars)
 
 

@@ -50,7 +50,7 @@ from .lang import (
     type_name,
 )
 from .model import Atomic, Interpretation, Iri, Nominal
-from .query import parse_query
+from .query import Var, parse_query
 from .reasoner import Reasoner
 
 __all__ = ["main"]
@@ -181,11 +181,10 @@ def _cmd_query(args, r: Reasoner) -> int:
         table = run_select(r, sq, values)
         print(table_to_json(table) if args.output == "json" else _render_table(table, p))
         return 0
-    splice_vars = set(outcome.splice_vars.values())
     variables = {
         v.name: print_concept(c, p)
         for v, c in sorted(outcome.variable_concepts.items(), key=lambda kv: kv[0].name)
-        if v not in splice_vars
+        if isinstance(v, Var)
     }
     splices = {s: print_concept(outcome.splice_concepts[s], p) for s in sq.splices}
     if args.output == "json":

@@ -1,22 +1,23 @@
 """Concept inference for queries, and strict/non-strict validation.
 
-Each query variable gets a concept expression over-approximating the
-objects it can be bound to.  Patterns contribute the base constraints
-(``?x a C`` gives C; a role triple against a constant gives a
-quantification over a nominal; a role triple between two variables gives
-mutual *references*, placeholders resolved after the walk).  Joins
-intersect the constraints of shared variables, unions and optionals
-weaken them, MINUS contributes nothing from its right side.
+Each query variable and each splice gets a concept expression
+over-approximating the objects it can be bound to.  Patterns contribute
+the base constraints (``?x a C`` gives C; a role triple against a
+constant gives a quantification over a nominal; a role triple between two
+variables gives mutual *references*, placeholders resolved after the
+walk).  Joins intersect the constraints of shared variables, unions and
+optionals weaken them, MINUS contributes nothing from its right side.
 
-A typing is a plain mapping from variables to concepts
-(:class:`VariableTyping`, a ``dict``).
+A typing is a plain mapping from variables and splices to concepts
+(:class:`VariableTyping`, a ``dict``).  A splice is typed exactly as a
+variable is, under its own key: ``Splice("t")`` and ``Var("t")`` are
+different keys, so a query may use both ``?t`` and ``$t``.
 
-Validation replaces every splice by a fresh variable, infers and resolves
-the typing, requires every variable's concept to be satisfiable, and then
-checks the declared splice types: non-strict demands a satisfiable
-intersection with the inferred constraint, strict demands subsumption and
-then narrows the typing by substituting the declared type into every
-reference to the splice.
+Validation infers and resolves the typing, requires every key's concept
+to be satisfiable, and then checks the declared splice types: non-strict
+demands a satisfiable intersection with the inferred constraint, strict
+demands subsumption and then narrows the typing by substituting the
+declared type into every reference to the splice.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .model import (
     And,
     Concept,
     Exists,
+    Iri,
     Nominal,
     Or,
     Role,
@@ -41,12 +43,9 @@ from .query import (
     Pattern,
     Query,
     SelectQuery,
-    SpliceElem,
+    Splice,
     Union,
     Var,
-    VarElem,
-    query_vars,
-    substitute_splices,
 )
 from .reasoner import Reasoner
 
@@ -64,58 +63,53 @@ class VarRef:
     """A reference concept: "whatever stands in ``role`` to ``var``".
 
     Appears only during inference; resolution replaces it by an existential
-    quantification over the referenced variable's own concept.
+    quantification over the referenced variable's (or splice's) own concept.
     """
 
     role: Role
-    var: Var
+    var: Var | Splice
 
 
 InfConcept = TUnion[Concept, VarRef]
 
 
 class VariableTyping(dict):
-    """The inferred map from query variables to concept expressions."""
+    """The inferred map from query variables and splices to concept
+    expressions."""
 
     @property
-    def domain(self) -> frozenset[Var]:
+    def domain(self) -> frozenset[Var | Splice]:
         return frozenset(self)
 
 
 def infer_pattern(p: Pattern) -> VariableTyping:
-    """Base constraints of a single pattern (splices already freshened)."""
+    """Base constraints of a single pattern; a splice is typed like a
+    variable."""
     if isinstance(p, ConceptPattern):
-        if isinstance(p.elem, SpliceElem):
-            raise ValueError("splices must be replaced by variables before typing")
-        if isinstance(p.elem, VarElem):
-            return VariableTyping({p.elem.var: p.concept})
-        return VariableTyping({})
+        return VariableTyping({} if isinstance(p.elem, Iri) else {p.elem: p.concept})
 
-    subject, obj = p.subject, p.obj
-    if isinstance(subject, SpliceElem) or isinstance(obj, SpliceElem):
-        raise ValueError("splices must be replaced by variables before typing")
-    role = p.role
-    if isinstance(subject, VarElem) and isinstance(obj, VarElem):
-        if subject.var == obj.var:
-            # Both endpoints constrain the same variable; conjoin.
-            return VariableTyping({subject.var: And(
-                VarRef(role, obj.var), VarRef(role.inverted(), subject.var))})
-        return VariableTyping({
-            subject.var: VarRef(role, obj.var),
-            obj.var: VarRef(role.inverted(), subject.var),
-        })
-    if isinstance(subject, VarElem):
-        return VariableTyping({subject.var: Exists(role, Nominal(obj.iri))})
-    if isinstance(obj, VarElem):
-        return VariableTyping({obj.var: Exists(role.inverted(), Nominal(subject.iri))})
-    return VariableTyping({})
+    subject, role, obj = p.subject, p.role, p.obj
+    if isinstance(subject, Iri):
+        if isinstance(obj, Iri):
+            return VariableTyping({})
+        return VariableTyping({obj: Exists(role.inverted(), Nominal(subject))})
+    if isinstance(obj, Iri):
+        return VariableTyping({subject: Exists(role, Nominal(obj))})
+    if subject == obj:
+        # Both endpoints constrain the same key; conjoin.
+        return VariableTyping({subject: And(
+            VarRef(role, obj), VarRef(role.inverted(), subject))})
+    return VariableTyping({
+        subject: VarRef(role, obj),
+        obj: VarRef(role.inverted(), subject),
+    })
 
 
 def combine(p1: VariableTyping, p2: VariableTyping, connective: str) -> VariableTyping:
     """Pointwise combination: shared variables get the connective, one-sided
     variables carry over unchanged.  ``connective`` is "and" or "or"."""
     ctor = {"and": And, "or": Or}[connective]
-    out: dict[Var, InfConcept] = {}
+    out: dict[Var | Splice, InfConcept] = {}
     for var, c in p1.items():
         other = p2.get(var)
         out[var] = c if other is None else ctor(c, other)
@@ -143,19 +137,19 @@ def infer_query(q: Query) -> VariableTyping:
 
 def resolve_references(
     phi: VariableTyping,
-    substitutions: Mapping[Var, Concept] | None = None,
+    substitutions: Mapping[Splice, Concept] | None = None,
 ) -> VariableTyping:
-    """Expand every reference, per variable, against the original typing.
+    """Expand every reference, per key, against the original typing.
 
-    A reference back to a variable already on the current expansion path
+    A reference back to a key already on the current expansion path
     widens to the top concept, so resolution always terminates, including
     on mutual-reference cycles.  ``substitutions`` short-circuits chosen
-    variables to a fixed concept (strict-mode narrowing) and replaces
+    splices to a fixed concept (strict-mode narrowing) and replaces
     their own entries.
     """
     subs = dict(substitutions or {})
 
-    def expand(c: InfConcept, path: frozenset[Var]) -> Concept:
+    def expand(c: InfConcept, path: frozenset[Var | Splice]) -> Concept:
         if isinstance(c, VarRef):
             if c.var in subs:
                 return Exists(c.role, subs[c.var])
@@ -181,19 +175,19 @@ def resolve_references(
 @record(frozen=True)
 class Valid:
     """Validation succeeded; carries the final (resolved, and in strict mode
-    narrowed) concepts per variable and per splice."""
+    narrowed) typing, whose keys are variables and splices, and the concept
+    of every splice by name."""
 
-    variable_concepts: Mapping[Var, Concept]
+    variable_concepts: Mapping[Var | Splice, Concept]
     splice_concepts: Mapping[str, Concept]
-    splice_vars: Mapping[str, Var]
 
 
 @record(frozen=True)
 class Unsatisfiable:
-    """Some variable's inferred concept (or a declared splice type) has no
-    possible members: the query can never return anything."""
+    """Some variable's or splice's inferred concept (or a declared splice
+    type) has no possible members: the query can never return anything."""
 
-    var: Var
+    var: Var | Splice
     concept: Concept
 
 
@@ -219,19 +213,6 @@ class UntypedSelectVar:
 ValidationOutcome = TUnion[Valid, Unsatisfiable, SpliceMismatch, UntypedSelectVar]
 
 
-def fresh_splice_vars(sq: SelectQuery) -> dict[str, Var]:
-    """One fresh variable per splice id, avoiding the query's own variables."""
-    used = {v.name for v in query_vars(sq.body)}
-    fresh: dict[str, Var] = {}
-    for splice in sq.splices:
-        name = splice
-        while name in used:
-            name += "_"
-        used.add(name)
-        fresh[splice] = Var(name)
-    return fresh
-
-
 def validate_query(
     r: Reasoner,
     sq: SelectQuery,
@@ -240,10 +221,10 @@ def validate_query(
 ) -> ValidationOutcome:
     """Type a query and check it, in "strict" or "nonstrict" mode.
 
-    Splices become fresh variables; the resolved concept of every variable
-    must be satisfiable; declared splice types must themselves be
-    satisfiable, then pass the mode check.  Strict validation additionally
-    substitutes the declared types into the final typing.
+    The resolved concept of every variable and splice must be satisfiable;
+    declared splice types must themselves be satisfiable, then pass the
+    mode check.  Strict validation additionally substitutes the declared
+    types into the final typing.
     """
     if mode not in ("strict", "nonstrict"):
         raise ValueError(f"unknown validation mode {mode!r}")
@@ -251,43 +232,34 @@ def validate_query(
     if missing:
         raise ValueError(f"no declared type for splice(s): {', '.join(missing)}")
 
-    fresh = fresh_splice_vars(sq)
-    body = substitute_splices(sq.body, {s: VarElem(v) for s, v in fresh.items()})
-    unresolved = infer_query(body)
+    unresolved = infer_query(sq.body)
     phi = resolve_references(unresolved)
 
     for var in sq.select_vars:
         if var not in phi:
             return UntypedSelectVar(var)
-    for var in sorted(phi.domain, key=lambda v: v.name):
-        concept = phi[var]
+    for key in sorted(phi.domain, key=lambda k: (k.name, isinstance(k, Splice))):
+        concept = phi[key]
         if not r.is_satisfiable(concept).satisfiable:
-            return Unsatisfiable(var, concept)
-    for splice in sq.splices:
-        declared = splice_types[splice]
-        if not r.is_satisfiable(declared).satisfiable:
-            return Unsatisfiable(fresh[splice], declared)
+            return Unsatisfiable(key, concept)
+    declared = {Splice(s): splice_types[s] for s in sq.splices}
+    for splice, concept in declared.items():
+        if not r.is_satisfiable(concept).satisfiable:
+            return Unsatisfiable(splice, concept)
 
-    for splice in sq.splices:
-        declared = splice_types[splice]
-        inferred = phi.get(fresh[splice], TOP)
+    for splice, concept in declared.items():
+        inferred = phi.get(splice, TOP)
         if mode == "nonstrict":
-            if not r.is_satisfiable(And(inferred, declared)).satisfiable:
-                return SpliceMismatch(splice, mode, declared, inferred)
+            if not r.is_satisfiable(And(inferred, concept)).satisfiable:
+                return SpliceMismatch(splice.name, mode, concept, inferred)
         else:
-            if not r.entails_subsumption(declared, inferred):
-                return SpliceMismatch(splice, mode, declared, inferred)
+            if not r.entails_subsumption(concept, inferred):
+                return SpliceMismatch(splice.name, mode, concept, inferred)
 
-    if mode == "strict" and fresh:
-        final = resolve_references(
-            unresolved, {fresh[s]: splice_types[s] for s in sq.splices}
-        )
-    else:
-        final = phi
+    final = phi if mode == "nonstrict" else resolve_references(unresolved, declared)
     return Valid(
         variable_concepts=final,
-        splice_concepts={s: final.get(fresh[s], splice_types[s]) for s in sq.splices},
-        splice_vars=fresh,
+        splice_concepts={s.name: final.get(s, c) for s, c in declared.items()},
     )
 
 
@@ -296,7 +268,9 @@ def validation_failure(outcome: ValidationOutcome,
     """The failure category and message of a failed validation; ``show``
     writes each concept the way the caller's surface quotes it."""
     if isinstance(outcome, Unsatisfiable):
-        return "E-SAT", (f"variable ?{outcome.var.name} can never match: "
+        key = outcome.var
+        what = f"splice ${key.name}" if isinstance(key, Splice) else f"variable ?{key.name}"
+        return "E-SAT", (f"{what} can never match: "
                          f"{show(outcome.concept)} is unsatisfiable")
     if isinstance(outcome, UntypedSelectVar):
         return "E-SAT", (f"SELECT variable ?{outcome.var.name} occurs only under "

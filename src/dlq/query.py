@@ -29,11 +29,11 @@ from .model import Atomic, Concept, Iri, Role
 from .reasoner import Reasoner
 
 __all__ = [
-    "Var", "VarElem", "IriElem", "SpliceElem", "PatternElem",
+    "Var", "Splice", "PatternElem",
     "ConceptPattern", "RolePattern", "Pattern",
     "Join", "Union", "Minus", "Optional", "Query",
     "SelectQuery", "SolutionMapping",
-    "query_vars", "substitute_splices",
+    "query_vars", "substitute_splices", "elem_value",
     "parse_query", "satisfies",
 ]
 
@@ -44,21 +44,15 @@ class Var:
 
 
 @record(frozen=True, slots=True)
-class VarElem:
-    var: Var
+class Splice:
+    """A ``$name`` position that an embedding program fills with an IRI.
+    ``Splice("t")`` and ``Var("t")`` are different terms."""
+
+    name: str
 
 
-@record(frozen=True, slots=True)
-class IriElem:
-    iri: Iri
-
-
-@record(frozen=True, slots=True)
-class SpliceElem:
-    splice: str
-
-
-PatternElem = TUnion[VarElem, IriElem, SpliceElem]
+# A pattern's end: a variable, a constant, or a splice.
+PatternElem = TUnion[Var, Iri, Splice]
 
 
 class Query:
@@ -115,8 +109,7 @@ def _pattern_elems(p: Pattern) -> tuple[PatternElem, ...]:
 def query_vars(q: Query) -> frozenset[Var]:
     """All variables occurring syntactically in the query."""
     if isinstance(q, Pattern):
-        return frozenset(e.var for e in _pattern_elems(q)
-                         if isinstance(e, VarElem))
+        return frozenset(e for e in _pattern_elems(q) if isinstance(e, Var))
     assert isinstance(q, (Join, Union, Minus, Optional))
     return query_vars(q.left) | query_vars(q.right)
 
@@ -124,33 +117,31 @@ def query_vars(q: Query) -> frozenset[Var]:
 def _splices_in(q: Query) -> Iterator[str]:
     if isinstance(q, Pattern):
         for e in _pattern_elems(q):
-            if isinstance(e, SpliceElem):
-                yield e.splice
+            if isinstance(e, Splice):
+                yield e.name
     else:
         assert isinstance(q, (Join, Union, Minus, Optional))
         yield from _splices_in(q.left)
         yield from _splices_in(q.right)
 
 
-def _map_elems(q: Query, f) -> Query:
-    if isinstance(q, ConceptPattern):
-        return ConceptPattern(f(q.elem), q.concept)
-    if isinstance(q, RolePattern):
-        return RolePattern(f(q.subject), q.role, f(q.obj))
-    return type(q)(_map_elems(q.left, f), _map_elems(q.right, f))
+def substitute_splices(q: Query, values: Mapping[str, Iri]) -> Query:
+    """Replace every splice by its IRI in ``values``."""
 
-
-def substitute_splices(q: Query, values: Mapping[str, PatternElem]) -> Query:
-    """Replace splice positions by the given elements (IRIs or variables)."""
-
-    def subst(e: PatternElem) -> PatternElem:
-        if isinstance(e, SpliceElem):
-            if e.splice not in values:
-                raise KeyError(f"no value for splice ${e.splice}")
-            return values[e.splice]
+    def fill(e: PatternElem) -> PatternElem:
+        if isinstance(e, Splice):
+            if e.name not in values:
+                raise KeyError(f"no value for splice ${e.name}")
+            return values[e.name]
         return e
 
-    return _map_elems(q, subst)
+    if isinstance(q, ConceptPattern):
+        return ConceptPattern(fill(q.elem), q.concept)
+    if isinstance(q, RolePattern):
+        return RolePattern(fill(q.subject), q.role, fill(q.obj))
+    assert isinstance(q, (Join, Union, Minus, Optional))
+    return type(q)(substitute_splices(q.left, values),
+                   substitute_splices(q.right, values))
 
 
 @record(frozen=True)
@@ -171,7 +162,7 @@ class SelectQuery:
         """``SELECT ?x WHERE { $subject role ?x }``: what a role projection
         from the object spliced in as ``$subject`` asks for."""
         x = Var("x")
-        return cls.build((x,), RolePattern(SpliceElem("subject"), role, VarElem(x)))
+        return cls.build((x,), RolePattern(Splice("subject"), role, x))
 
 
 # --- solution mappings ------------------------------------------------------
@@ -292,7 +283,7 @@ class _QueryParser:
                 raise ts.error("expected 'a' or a role IRI")
             role = Role(read_name(ts, self.prefixes))
             pattern = RolePattern(subject, role, self.node())
-        if all(isinstance(e, IriElem) for e in _pattern_elems(pattern)):
+        if all(isinstance(e, Iri) for e in _pattern_elems(pattern)):
             raise ParseError(start.line, start.column,
                              "pattern needs at least one variable or splice")
         return pattern
@@ -302,12 +293,12 @@ class _QueryParser:
         tok = ts.peek()
         if tok.kind == "VAR":
             ts.next()
-            return VarElem(Var(tok.text[1:]))
+            return Var(tok.text[1:])
         if tok.kind == "SPLICE":
             ts.next()
-            return SpliceElem(tok.text[1:])
+            return Splice(tok.text[1:])
         if tok.kind in ("IRIREF", "PNAME"):
-            return IriElem(read_name(ts, self.prefixes))
+            return read_name(ts, self.prefixes)
         raise ts.error("expected ?variable, $splice or IRI")
 
     def concept_ref(self) -> Concept:
@@ -333,20 +324,22 @@ def parse_query(text: str, prefixes: Mapping[str, str],
 # --- semantics --------------------------------------------------------------
 
 
-def _elem_value(e: PatternElem, mu: SolutionMapping) -> Iri | None:
-    if isinstance(e, IriElem):
-        return e.iri
-    if isinstance(e, VarElem):
-        return mu.get(e.var)
-    raise ValueError(f"unresolved splice ${e.splice} during evaluation")
+def elem_value(e: PatternElem, mu: SolutionMapping) -> Iri | None:
+    """The object a pattern's end stands for under ``mu``: None for an
+    unbound variable, and an error for a splice that was never filled."""
+    if isinstance(e, Iri):
+        return e
+    if isinstance(e, Var):
+        return mu.get(e)
+    raise ValueError(f"unresolved splice ${e.name} during evaluation")
 
 
 def _pattern_holds(r: Reasoner, p: Pattern, mu: SolutionMapping) -> bool:
     if isinstance(p, ConceptPattern):
-        value = _elem_value(p.elem, mu)
+        value = elem_value(p.elem, mu)
         return value is not None and r.entails_instance(value, p.concept)
-    subject = _elem_value(p.subject, mu)
-    obj = _elem_value(p.obj, mu)
+    subject = elem_value(p.subject, mu)
+    obj = elem_value(p.obj, mu)
     return subject is not None and obj is not None \
         and r.entails_role(subject, p.role, obj)
 

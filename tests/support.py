@@ -39,7 +39,6 @@ from dlq.model import (
 )
 from dlq.query import (
     ConceptPattern,
-    IriElem,
     Join,
     Minus,
     Optional,
@@ -48,7 +47,6 @@ from dlq.query import (
     RolePattern,
     Union,
     Var,
-    VarElem,
     query_vars,
 )
 
@@ -319,14 +317,14 @@ def random_query(rng: random.Random, limits: GenLimits = GenLimits()) -> Query:
     def pattern() -> Query:
         if rng.random() < 0.5:
             return ConceptPattern(
-                VarElem(rng.choice(variables)),
+                rng.choice(variables),
                 _random_simple_concept(rng, concepts, roles, 1))
         role = rng.choice(roles)
-        subject: object = VarElem(rng.choice(variables))
-        obj: object = VarElem(rng.choice(variables)) \
-            if rng.random() < 0.7 else IriElem(rng.choice(objects))
+        subject: object = rng.choice(variables)
+        obj: object = rng.choice(variables) \
+            if rng.random() < 0.7 else rng.choice(objects)
         if rng.random() < 0.2:
-            subject, obj = IriElem(rng.choice(objects)), VarElem(rng.choice(variables))
+            subject, obj = rng.choice(objects), rng.choice(variables)
         return RolePattern(subject, role, obj)
 
     def build(depth: int) -> Query:

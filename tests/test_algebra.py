@@ -9,7 +9,6 @@ from dlq.algebra import ResultTable, eval_algebraic, project, run_select, table_
 from dlq.interpretation import denotational_eval
 from dlq.model import Iri
 from dlq.query import (
-    IriElem,
     SolutionMapping,
     Var,
     parse_query,
@@ -47,10 +46,10 @@ class TestEvalAlgebraic:
         # The inverse direction is never asserted, only entailed; inverse
         # roles are not triple surface syntax, so build the pattern directly.
         from dlq.model import Role
-        from dlq.query import IriElem, RolePattern, VarElem
+        from dlq.query import RolePattern
         q = RolePattern(
-            IriElem(uobj("softlang")),
-            Role(uobj("worksFor"), inverse=True), VarElem(X))
+            uobj("softlang"),
+            Role(uobj("worksFor"), inverse=True), X)
         assert eval_algebraic(university, q) == {SolutionMapping.of({X: uobj("bob")})}
 
     @pytest.mark.parametrize("query", [
@@ -64,7 +63,7 @@ class TestEvalAlgebraic:
         # IRIs and ``$x a :Chair`` into a concept pattern on an IRI.
         sq = parse_query(query, extended.kb.prefixes)
         body = substitute_splices(
-            sq.body, {"x": IriElem(uobj(x)), "d": IriElem(uobj("csdept"))})
+            sq.body, {"x": uobj(x), "d": uobj("csdept")})
         expected = {SolutionMapping.of({Y: uobj(a)}) for a in answers}
         assert eval_algebraic(extended, body) == expected
         assert denotational_eval(extended, body) == expected

@@ -207,6 +207,17 @@ class TestQuery:
         assert run(capsys, "query", "run", query, "--kb", KB, *run_args) == (
             1, "", run_err)
 
+    @pytest.mark.parametrize("query, splice", [
+        ("SELECT ?t WHERE { ?t a :Person . $t :worksFor ?t }", "t"),
+        ("SELECT ?x WHERE { $org :worksFor ?x }", "org"),
+    ], ids=["beside-its-variable", "alone"])
+    def test_unsatisfiable_splice_type_names_the_splice(self, capsys, query, splice):
+        assert run(capsys, "query", "type", query, "--kb", KB,
+                   "--splice", f"{splice}=:Person and :Organization") == (
+            1, "", "ERROR E-SAT 1:1\n"
+            f"splice ${splice} can never match: :Person and :Organization "
+            "is unsatisfiable\n")
+
     def test_unsatisfiable_query_exits_1_with_e_sat(self, capsys):
         code, _, err = run(capsys, "query", "type",
                            "SELECT ?x WHERE { ?x a [:Person and :Organization] }",
@@ -255,7 +266,7 @@ class TestQuery:
         assert err.startswith("ERROR E-SUB")
 
     def test_type_json_with_splice(self, capsys):
-        # The splice's fresh variable is reported under "splices" only.
+        # The splice $t is reported under "splices" only, apart from ?t.
         query = "SELECT ?t WHERE { $t :worksFor ?t . ?t a :ResearchGroup }"
         code, out, _ = run(capsys, "query", "type", query, "--kb", KB,
                            "--splice", "t=:Employee", "--output", "json")
@@ -412,6 +423,14 @@ class TestProgramScenarios:
             "main = staff(iri(:softlang))",
             1, "", f"ERROR E-SAT 3:3\nsplice $o: `:Organization` cannot overlap inferred {RB}\n",
             id="nonstrict-splice"),
+        pytest.param(
+            "check",
+            "def staff(o: `:Person and :Organization`): List[`:Person`] =\n"
+            '  query "SELECT ?x WHERE { $o :worksFor ?x }"\n'
+            "main = iri(:bob)",
+            1, "", "ERROR E-SAT 3:3\n"
+            "splice $o can never match: `:Person and :Organization` is unsatisfiable\n",
+            id="unsatisfiable-splice"),
         pytest.param(
             "check",
             'main = query "SELECT ?y WHERE { ?x a :Person MINUS { ?y a :Chair } }"',

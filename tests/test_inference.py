@@ -23,9 +23,8 @@ from dlq.query import (
     Minus,
     Optional,
     RolePattern,
+    Splice,
     Var,
-    VarElem,
-    IriElem,
     parse_query,
 )
 from dlq.reasoner import Reasoner
@@ -48,26 +47,26 @@ def has_var_refs(c) -> bool:
 
 class TestInferPattern:
     def test_concept_pattern(self):
-        phi = infer_pattern(ConceptPattern(VarElem(X), A))
+        phi = infer_pattern(ConceptPattern(X, A))
         assert phi == {X: A}
 
     def test_role_pattern_between_variables(self):
-        phi = infer_pattern(RolePattern(VarElem(Y), R, VarElem(X)))
+        phi = infer_pattern(RolePattern(Y, R, X))
         assert phi == {Y: VarRef(R, X), X: VarRef(R.inverted(), Y)}
 
     def test_role_pattern_against_constant(self):
-        phi = infer_pattern(RolePattern(VarElem(X), R, IriElem(iri("o"))))
+        phi = infer_pattern(RolePattern(X, R, iri("o")))
         assert phi == {X: Exists(R, Nominal(iri("o")))}
 
     def test_role_pattern_from_constant(self):
-        phi = infer_pattern(RolePattern(IriElem(iri("o")), R, VarElem(X)))
+        phi = infer_pattern(RolePattern(iri("o"), R, X))
         assert phi == {X: Exists(R.inverted(), Nominal(iri("o")))}
 
 
 class TestCombine:
     def test_conjunction_on_shared_variable(self):
-        left = infer_pattern(RolePattern(VarElem(Y), R, VarElem(X)))
-        right = infer_pattern(ConceptPattern(VarElem(X), A))
+        left = infer_pattern(RolePattern(Y, R, X))
+        right = infer_pattern(ConceptPattern(X, A))
         phi = combine(left, right, "and")
         assert phi == {
             Y: VarRef(R, X),
@@ -85,13 +84,13 @@ class TestCombine:
 
 class TestInferQuery:
     def test_minus_keeps_left_typing_verbatim(self):
-        q = Minus(ConceptPattern(VarElem(X), A),
-                  ConceptPattern(VarElem(X), B))
+        q = Minus(ConceptPattern(X, A),
+                  ConceptPattern(X, B))
         assert infer_query(q) == {X: A}
 
     def test_optional_weakens_with_join(self):
-        q = Optional(ConceptPattern(VarElem(X), A),
-                     ConceptPattern(VarElem(X), B))
+        q = Optional(ConceptPattern(X, A),
+                     ConceptPattern(X, B))
         assert infer_query(q) == {X: Or(A, And(A, B))}
 
 
@@ -130,8 +129,8 @@ class TestResolveReferences:
 
     def test_concepts_without_references_are_kept_as_they_are(self):
         concept = Forall(R, Not(Exists(R.inverted(), Nominal(iri("o")))))
-        q = Join(ConceptPattern(VarElem(X), concept),
-                 RolePattern(VarElem(X), R, IriElem(iri("o"))))
+        q = Join(ConceptPattern(X, concept),
+                 RolePattern(X, R, iri("o")))
         phi = resolve_references(infer_query(q))
         assert phi[X].left is concept
 
@@ -197,12 +196,43 @@ class TestValidate:
                 assert isinstance(nonstrict, Valid)
 
     def test_splice_against_own_variable_name_collision(self, university, uc):
-        # A query using both ?t and $t: the fresh variable must not capture.
+        # A query using both ?t and $t: two keys, each with its own concept.
         sq = parse_query("SELECT ?t WHERE { ?t a :Person . $t :worksFor ?t }",
                          university.kb.prefixes)
         outcome = validate_query(university, sq, {"t": uc(":Employee")}, "nonstrict")
         assert isinstance(outcome, Valid)
-        assert outcome.splice_vars["t"] != Var("t")
+        assert outcome.variable_concepts == {
+            Var("t"): uc(":Person and inv(:worksFor) some :worksFor some Thing"),
+            Splice("t"): uc(":worksFor some (:Person and inv(:worksFor) some Thing)"),
+        }
+
+
+class TestSpliceTyping:
+    def test_a_splice_is_typed_like_a_variable(self):
+        # Turning some variable ends into splices (so ?x and $x may meet)
+        # types each splice as a fresh variable in its place would be.
+        rng = random.Random(79)
+
+        def ends(q, f):
+            if isinstance(q, ConceptPattern):
+                return ConceptPattern(f(q.elem), q.concept)
+            if isinstance(q, RolePattern):
+                return RolePattern(f(q.subject), q.role, f(q.obj))
+            return type(q)(ends(q.left, f), ends(q.right, f))
+
+        def fresh(s: Splice) -> Var:
+            return Var(s.name + "'")
+
+        spliced_queries = 0
+        for _ in range(80):
+            body = ends(random_query(rng), lambda e: Splice(e.name)
+                        if isinstance(e, Var) and rng.random() < 0.4 else e)
+            renamed = ends(body, lambda e: fresh(e) if isinstance(e, Splice) else e)
+            typing = resolve_references(infer_query(body))
+            spliced_queries += any(isinstance(k, Splice) for k in typing)
+            assert {fresh(k) if isinstance(k, Splice) else k: c
+                    for k, c in typing.items()} == resolve_references(infer_query(renamed))
+        assert spliced_queries > 40
 
 
 class TestRoleProjection:
@@ -262,9 +292,9 @@ class TestSoundnessBridge:
         C, D, E = Atomic(iri("A")), Atomic(iri("B")), Atomic(iri("C"))
         a, c = iri("o1"), iri("o2")
         kb = KnowledgeBase(abox=(ConceptAssertion(a, C), ConceptAssertion(c, D)))
-        q = Join(ConceptPattern(VarElem(X), C),
-                 Union(ConceptPattern(VarElem(Var("z")), D),
-                       ConceptPattern(VarElem(X), E)))
+        q = Join(ConceptPattern(X, C),
+                 Union(ConceptPattern(Var("z"), D),
+                       ConceptPattern(X, E)))
         r = Reasoner(kb)
         answers = eval_algebraic(r, q)
         assert answers == denotational_eval(r, q)

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+from dlq.algebra import eval_algebraic
 from dlq.interpretation import denotational_eval
 from dlq.kbtext import ParseError
 from dlq.model import Atomic, ConceptAssertion, Role
 from dlq.query import (
     ConceptPattern,
-    IriElem,
     Join,
     Minus,
     Optional,
@@ -17,12 +17,12 @@ from dlq.query import (
     RolePattern,
     SelectQuery,
     SolutionMapping,
-    SpliceElem,
+    Splice,
     Union,
     Var,
-    VarElem,
     parse_query,
     query_vars,
+    satisfies,
     substitute_splices,
 )
 from dlq.reasoner import Reasoner
@@ -40,14 +40,14 @@ class TestParse:
     def test_single_concept_pattern(self):
         sq = parse_query("SELECT ?x WHERE { ?x a :Person }", P)
         assert sq.select_vars == (X,)
-        assert sq.body == ConceptPattern(VarElem(X), Atomic(iri("Person")))
+        assert sq.body == ConceptPattern(X, Atomic(iri("Person")))
 
     def test_two_patterns_fold_into_join(self):
         sq = parse_query(
             "SELECT ?x ?y WHERE { ?y :worksFor ?x . ?x a :ResearchGroup }", P)
         assert sq.body == Join(
-            RolePattern(VarElem(Y), Role(iri("worksFor")), VarElem(X)),
-            ConceptPattern(VarElem(X), Atomic(iri("ResearchGroup"))),
+            RolePattern(Y, Role(iri("worksFor")), X),
+            ConceptPattern(X, Atomic(iri("ResearchGroup"))),
         )
 
     def test_unclosed_group_is_a_parse_error(self):
@@ -99,7 +99,7 @@ class TestParse:
 
 class TestVars:
     def test_pattern_vars(self):
-        q = ConceptPattern(VarElem(X), Atomic(iri("Person")))
+        q = ConceptPattern(X, Atomic(iri("Person")))
         assert query_vars(q) == {X}
 
     def test_join_vars(self):
@@ -108,8 +108,8 @@ class TestVars:
         assert query_vars(sq.body) == {X, Y}
 
     def test_minus_vars_include_right_side(self):
-        q = Minus(ConceptPattern(VarElem(X), Atomic(iri("A"))),
-                  ConceptPattern(VarElem(Y), Atomic(iri("B"))))
+        q = Minus(ConceptPattern(X, Atomic(iri("A"))),
+                  ConceptPattern(Y, Atomic(iri("B"))))
         assert query_vars(q) == {X, Y}
 
 
@@ -128,7 +128,7 @@ class TestSpliceTerms:
 
     def test_substitution_replaces_all_occurrences(self):
         sq = parse_query("SELECT ?x WHERE { ?x :r $t . ?x :s $t }", P)
-        body = substitute_splices(sq.body, {"t": IriElem(iri("o1"))})
+        body = substitute_splices(sq.body, {"t": iri("o1")})
         assert not SelectQuery.build(sq.select_vars, body).splices
 
 
@@ -188,15 +188,23 @@ class TestDenotationalEval:
         for _ in range(15):
             kb = random_kb(rng)
             q = Union(
-                Join(ConceptPattern(VarElem(X), Atomic(iri("A"))),
-                     RolePattern(VarElem(X), Role(iri("r")), VarElem(Y))),
-                ConceptPattern(VarElem(Y), Atomic(iri("B"))),
+                Join(ConceptPattern(X, Atomic(iri("A"))),
+                     RolePattern(X, Role(iri("r")), Y)),
+                ConceptPattern(Y, Atomic(iri("B"))),
             )
             before = denotational_eval(Reasoner(kb), q)
             after = denotational_eval(Reasoner(kb.extended(grown_axiom)), q)
             assert before <= after
 
     def test_unresolved_splice_is_an_error(self, university):
-        q = ConceptPattern(SpliceElem("t"), Atomic(iri("A")))
-        with pytest.raises(ValueError):
-            denotational_eval(university, q)
+        # An unfilled splice is neither a variable nor a constant, in any
+        # position and under every evaluator.
+        t, r = Splice("t"), Role(iri("r"))
+        patterns = [ConceptPattern(t, Atomic(iri("A"))), RolePattern(X, r, t),
+                    RolePattern(t, r.inverted(), X), RolePattern(t, r, t)]
+        evaluators = [denotational_eval, eval_algebraic,
+                      lambda r, q: satisfies(r, q, mapping(x=iri("o1")))]
+        for q in patterns:
+            for evaluate in evaluators:
+                with pytest.raises(ValueError, match=r"splice \$t during evaluation"):
+                    evaluate(university, q)
