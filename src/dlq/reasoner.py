@@ -23,6 +23,23 @@ tableau run; only the survivors get a refutation run.  Once the session
 holds the model, point checks consult it too.  An inconsistent knowledge
 base has no model, so nothing is pruned; nor is a candidate, or a concept
 naming an object, that the model does not interpret.
+
+Subsumption ``C ⊑ D`` is unsatisfiability of the probe ``C ⊓ ¬D``, and
+the session answers it from what it holds before it runs anything:
+
+* ``{a} ⊑ D`` is the instance check ``a : D``;
+* an atomic ``D`` reached from an atomic ``C`` through the unfolding
+  table's atomic entries and their conjuncts (a told subsumer) is true;
+* every model the session holds, the session model once built and the
+  witness of every satisfiable :meth:`Reasoner.is_satisfiable` answer, is
+  a model of the knowledge base, so one with an element in ``C ⊓ ¬D``
+  refutes the subsumption (a model that does not interpret every object
+  the probe names is skipped).
+
+Only then does the probe get one tableau run, and that run builds no
+model.  A true answer is kept as an unsatisfiable probe in the
+satisfiability memo and a false one in a set of refuted probes, so no
+probe runs twice in a session.
 """
 
 from __future__ import annotations
@@ -66,6 +83,7 @@ class Reasoner:
         self._instance: dict[tuple[Iri, Concept], bool] = {}
         self._extension: dict[Concept, Optional[frozenset[int]]] = {}
         self._role_probes: dict[tuple[Role, Iri], Concept] = {}
+        self._refuted: set[Concept] = set()
         self._consistent: Optional[bool] = None
         self._model: Optional[Interpretation] = None
 
@@ -102,7 +120,30 @@ class Reasoner:
 
     def entails_subsumption(self, c: Concept, d: Concept) -> bool:
         """True iff every model makes ext(c) a subset of ext(d)."""
-        return not self.is_satisfiable(And(c, Not(d))).satisfiable
+        if isinstance(c, Nominal):
+            return self.entails_instance(c.obj, d)
+        probe = And(c, Not(d))
+        cached = self._sat.get(probe)
+        if cached is not None:
+            return not cached.satisfiable
+        if probe in self._refuted:
+            return False
+        refuted = d not in self._tableau.told_subsumers(c) and (
+            self._held_model_inhabits(probe) or self._tableau.run(probe) is not None)
+        if refuted:
+            self._refuted.add(probe)
+        else:
+            self._sat[probe] = SatResult(False)
+        return not refuted
+
+    def _held_model_inhabits(self, c: Concept) -> bool:
+        """True when the session model or a satisfiability witness gives
+        ``c`` an element; a model not interpreting every object ``c`` names
+        is skipped."""
+        named = concept_signature(c).objects
+        held = [self._model] + [s.witness for s in self._sat.values()]
+        return any(m is not None and named <= m.object_map.keys() and extension(c, m)
+                   for m in held)
 
     def _instance_candidates(self, c: Concept, objs: Iterable[Iri]) -> list[Iri]:
         """The objects the held model does not refute as instances of ``c``."""

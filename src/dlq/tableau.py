@@ -337,6 +337,21 @@ class Tableau:
             self._negations[c] = cached
         return cached
 
+    def told_subsumers(self, c: Concept) -> set[Concept]:
+        """The atomic concepts reached from atomic ``c`` through the
+        unfolding table's atomic entries and their conjuncts, ``c``
+        included; each one subsumes ``c``.  Empty when ``c`` is not atomic."""
+        if not isinstance(c, Atomic):
+            return set()
+        seen, todo = {c}, [c]
+        while todo:
+            for e in self.unfolding.get(todo.pop(), ()):
+                for a in _conjuncts(e):
+                    if isinstance(a, Atomic) and a not in seen:
+                        seen.add(a)
+                        todo.append(a)
+        return seen
+
     def _initial_graph(self, concept: Optional[Concept], obj: Optional[Iri]) -> _Graph:
         graph = _Graph(self.unfolding, self._neg)
         named = list(self.named)

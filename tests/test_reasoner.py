@@ -39,6 +39,13 @@ def _stack_depth() -> int:
     return depth
 
 
+def _forbid(monkeypatch, method: str) -> None:
+    """Make every call of ``Tableau.<method>`` fail the test."""
+    def refuse(self, *args):
+        raise AssertionError(f"Tableau.{method} called")
+    monkeypatch.setattr(Tableau, method, refuse)
+
+
 class TestConsistency:
     def test_university_is_consistent(self, university):
         assert university.is_consistent()
@@ -121,6 +128,27 @@ class TestSubsumption:
     def test_employee_not_subsumed_by_researchgroup_worker(self, university, uc):
         assert not university.entails_subsumption(
             uc(":Employee"), uc(":worksFor some :ResearchGroup"))
+
+    def test_a_model_not_interpreting_a_named_object_refutes_nothing(self):
+        # ⊤ ⊑ {o1} makes every element o1, and so ⊤ ⊑ {zed}; the session
+        # model does not interpret zed, so it must not refute the probe.
+        r = Reasoner(KnowledgeBase(tbox=(SubClass(TOP, Nominal(iri("o1"))),)))
+        assert r.is_consistent()
+        assert r.entails_subsumption(TOP, Nominal(iri("zed")))
+
+    def test_told_subsumers_follow_atomic_entries_and_conjuncts(self, university_kb, uc):
+        # Chair ⊑ Professor ⊑ Employee ⊑ Person and ∃worksFor.Organization;
+        # ResearchAssistant ⊑ Employee takes reasoning, so it is not told.
+        told = Tableau(university_kb).told_subsumers
+        assert told(uc(":Chair")) == {uc(c) for c in
+                                      (":Chair", ":Professor", ":Employee", ":Person")}
+        assert uc(":Employee") not in told(uc(":ResearchAssistant"))
+        assert told(uc(":worksFor some :Organization")) == set()
+
+    def test_a_told_subsumption_makes_no_run(self, university_kb, uc, monkeypatch):
+        r = Reasoner(university_kb)
+        _forbid(monkeypatch, "run")
+        assert r.entails_subsumption(uc(":Chair"), uc(":Person"))
 
 
 class TestInstances:
@@ -475,3 +503,105 @@ class TestProperties:
                 _random_simple_concept(rng, atoms, roles, 1),
                 _random_simple_concept(rng, atoms, roles, 1)))
             assert Reasoner(grown).entails_subsumption(c, d)
+
+    def test_held_models_refute_only_non_subsumptions(self, monkeypatch):
+        # A session that has answered satisfiability probes holds their
+        # witnesses, and some of its subsumptions are refuted by a held
+        # model with no tableau run; every answer must agree with a
+        # satisfiability run on a fresh session.
+        rng = random.Random(37)
+        atoms = [Atomic(iri(n)) for n in "ABC"] + [Nominal(iri("zed"))]
+        roles = [Role(iri("r")), Role(iri("s"))]
+        runs = []
+        real_run = Tableau.run
+
+        def counted(self, *args):
+            runs.append(args)
+            return real_run(self, *args)
+
+        monkeypatch.setattr(Tableau, "run", counted)
+        held_refuted = 0
+        for k in range(60):
+            kb = random_kb(rng)
+            r = Reasoner(kb)
+            if k % 2:
+                r.is_consistent()
+            asked = [_random_simple_concept(rng, atoms, roles, 2) for _ in range(4)]
+            for c in asked:
+                r.is_satisfiable(c)
+            pairs = dict.fromkeys(
+                (_random_simple_concept(rng, atoms, roles, 2),
+                 _random_simple_concept(rng, atoms, roles, 2)) for _ in range(8))
+            for c, d in pairs:
+                before = len(runs)
+                answer = r.entails_subsumption(c, d)
+                if not answer and len(runs) == before and And(c, Not(d)) not in asked:
+                    held_refuted += 1
+                assert answer == (not Reasoner(kb).is_satisfiable(And(c, Not(d))).satisfiable)
+        assert held_refuted > 150
+
+    def test_a_subsumption_builds_no_model(self, monkeypatch):
+        _forbid(monkeypatch, "model_of")
+        rng = random.Random(41)
+        atoms = [Atomic(iri(n)) for n in "ABC"]
+        roles = [Role(iri("r")), Role(iri("s"))]
+        answers = []
+        for _ in range(60):
+            r = Reasoner(random_kb(rng))
+            for _ in range(4):
+                c = (Nominal(iri("o1")) if rng.random() < 0.2
+                     else _random_simple_concept(rng, atoms, roles, 2))
+                answers.append(r.entails_subsumption(
+                    c, _random_simple_concept(rng, atoms, roles, 2)))
+        assert answers.count(True) > 30 and answers.count(False) > 100
+
+    def test_a_subsumption_answers_its_satisfiability_probe(self, monkeypatch):
+        # A true subsumption, told or run, leaves c ⊓ ¬d unsatisfiable in
+        # the session's satisfiability memo.
+        rng = random.Random(43)
+        atoms = [Atomic(iri(n)) for n in "ABC"]
+        roles = [Role(iri("r")), Role(iri("s"))]
+        subsumptions = []
+        for _ in range(60):
+            r = Reasoner(random_kb(rng))
+            for _ in range(6):
+                c, d = (_random_simple_concept(rng, atoms, roles, 2) for _ in range(2))
+                if r.entails_subsumption(c, d):
+                    subsumptions.append((r, c, d))
+
+        _forbid(monkeypatch, "run")
+        for r, c, d in subsumptions:
+            assert not r.is_satisfiable(And(c, Not(d))).satisfiable
+        assert len(subsumptions) > 40
+
+    def test_a_nominal_subsumption_is_an_instance_check(self):
+        rng = random.Random(47)
+        atoms = [Atomic(iri(n)) for n in "ABC"]
+        roles = [Role(iri("r")), Role(iri("s"))]
+        answers = []
+        for k in range(60):
+            kb = random_kb(rng)
+            r = Reasoner(kb)
+            if k % 2:
+                r.is_consistent()
+            for a in map(iri, ["o1", "o2", "o3", "zed"]):
+                for d in atoms + [_random_simple_concept(rng, atoms, roles, 2)]:
+                    answer = r.entails_subsumption(Nominal(a), d)
+                    assert answer == Reasoner(kb).entails_instance(a, d)
+                    assert answer == (not Reasoner(kb).is_satisfiable(
+                        And(Nominal(a), Not(d))).satisfiable)
+                    answers.append(answer)
+        assert answers.count(True) > 100 and answers.count(False) > 100
+
+    def test_told_subsumers_are_subsumers(self):
+        rng = random.Random(53)
+        atoms = [Atomic(iri(n)) for n in "ABC"]
+        told = 0
+        for _ in range(300):
+            kb = random_kb(rng)
+            tableau = Tableau(kb)
+            for c in atoms:
+                for d in tableau.told_subsumers(c) - {c}:
+                    told += 1
+                    assert not Reasoner(kb).is_satisfiable(And(c, Not(d))).satisfiable
+        assert told > 30
