@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Mapping
 
 from .algebra import run_select, table_to_json
 from .inference import Valid, validate_query, validation_failure
@@ -32,6 +31,7 @@ from .kbtext import (
     ParseError,
     parse_concept,
     parse_kb,
+    parse_name,
     parse_role,
     print_concept,
     shorten,
@@ -49,7 +49,7 @@ from .lang import (
     typecheck,
     type_name,
 )
-from .model import Atomic, Interpretation, Iri, Nominal
+from .model import Interpretation, Nominal
 from .query import Var, parse_query
 from .reasoner import Reasoner
 
@@ -66,13 +66,6 @@ def _read(path: str, what: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _Environment(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
-
-
-def _parse_name(text: str, prefixes: Mapping[str, str]) -> Iri:
-    concept = parse_concept(text, prefixes)
-    if not isinstance(concept, Atomic):
-        raise ParseError(1, 1, f"expected an object name, got {text!r}")
-    return concept.iri
 
 
 def _splice_pairs(pairs: list[str]) -> list[tuple[str, str]]:
@@ -120,12 +113,12 @@ def _cmd_reason(args, r: Reasoner) -> int:
         answer = r.entails_subsumption(parse_concept(args.sub, p),
                                        parse_concept(args.sup, p))
     elif args.check == "instance":
-        answer = r.entails_instance(_parse_name(args.obj, p),
+        answer = r.entails_instance(parse_name(args.obj, p),
                                     parse_concept(args.concept, p))
     else:
-        answer = r.entails_role(_parse_name(args.subject, p),
+        answer = r.entails_role(parse_name(args.subject, p),
                                 parse_role(args.role, p),
-                                _parse_name(args.obj, p))
+                                parse_name(args.obj, p))
     if args.output == "json":
         payload: dict = {"result": answer}
         if show_model is not None:
@@ -171,7 +164,7 @@ def _cmd_query(args, r: Reasoner) -> int:
         splice_types = {name: parse_concept(text, p) for name, text in given.items()}
     else:
         # run: spliced values are IRIs; they validate at their nominal types.
-        values = {name: _parse_name(text, p) for name, text in given.items()}
+        values = {name: parse_name(text, p) for name, text in given.items()}
         splice_types = {name: Nominal(iri) for name, iri in values.items()}
     outcome = validate_query(r, sq, splice_types, mode)
     if not isinstance(outcome, Valid):

@@ -105,14 +105,14 @@ def infer_pattern(p: Pattern) -> VariableTyping:
     })
 
 
-def combine(p1: VariableTyping, p2: VariableTyping, connective: str) -> VariableTyping:
-    """Pointwise combination: shared variables get the connective, one-sided
-    variables carry over unchanged.  ``connective`` is "and" or "or"."""
-    ctor = {"and": And, "or": Or}[connective]
+def combine(p1: VariableTyping, p2: VariableTyping,
+            connective: type[And] | type[Or]) -> VariableTyping:
+    """Pointwise combination: shared variables get ``connective`` (``And``
+    or ``Or``) of both sides, one-sided variables carry over unchanged."""
     out: dict[Var | Splice, InfConcept] = {}
     for var, c in p1.items():
         other = p2.get(var)
-        out[var] = c if other is None else ctor(c, other)
+        out[var] = c if other is None else connective(c, other)
     for var, c in p2.items():
         if var not in p1:
             out[var] = c
@@ -124,12 +124,12 @@ def infer_query(q: Query) -> VariableTyping:
     if isinstance(q, Pattern):
         return infer_pattern(q)
     if isinstance(q, Join):
-        return combine(infer_query(q.left), infer_query(q.right), "and")
+        return combine(infer_query(q.left), infer_query(q.right), And)
     if isinstance(q, Union):
-        return combine(infer_query(q.left), infer_query(q.right), "or")
+        return combine(infer_query(q.left), infer_query(q.right), Or)
     if isinstance(q, Optional):
         left = infer_query(q.left)
-        return combine(left, combine(left, infer_query(q.right), "and"), "or")
+        return combine(left, combine(left, infer_query(q.right), And), Or)
     if isinstance(q, Minus):
         return infer_query(q.left)
     raise TypeError(f"not a query: {q!r}")

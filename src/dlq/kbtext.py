@@ -48,6 +48,7 @@ __all__ = [
     "ParseError",
     "parse_kb",
     "parse_concept",
+    "parse_name",
     "parse_role",
     "print_concept",
     "print_role",
@@ -197,6 +198,14 @@ def parse_concept(text: str, prefixes: Mapping[str, str]) -> Concept:
     c = read_concept(ts, prefixes)
     ts.end("trailing input after concept")
     return c
+
+
+def parse_name(text: str, prefixes: Mapping[str, str]) -> Iri:
+    """Parse a standalone object name (an IRI or a prefixed name)."""
+    ts = fragment(text)
+    iri = read_name(ts, prefixes)
+    ts.end("trailing input after object name")
+    return iri
 
 
 def parse_role(text: str, prefixes: Mapping[str, str]) -> Role:

@@ -8,12 +8,14 @@ concept-guarded match, if/let, tuple indexing and the three list
 builtins.
 
 Term nodes compare by identity so the type checker can annotate them in a
-side table; every node carries its source position.
+side table.  Every node carries its source position in ``pos``: the parser
+sets it with ``at``, and a term built without one reads the class default
+``(0, 0)``.
 """
 
 from __future__ import annotations
 
-from .._record import field, record
+from .._record import record
 from typing import Mapping, Union as TUnion
 
 from ..model import Concept, Iri, Role
@@ -56,9 +58,8 @@ BOOL = BoolType()
 # --- terms ------------------------------------------------------------------
 
 
-@record(eq=False)
 class Term:
-    pos: Pos = field(init=False, default=(0, 0))
+    pos: Pos = (0, 0)
 
     def at(self, pos: Pos):
         self.pos = pos

@@ -31,13 +31,14 @@ from typing import Callable, TypeVar
 T = TypeVar("T")
 
 
-@record(frozen=True, slots=True)
 class ParseError(Exception):
     """A syntax error at a 1-based position inside the input text."""
 
-    line: int
-    column: int
-    message: str
+    def __init__(self, line: int, column: int, message: str) -> None:
+        super().__init__(line, column, message)
+        self.line = line
+        self.column = column
+        self.message = message
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}: {self.message}"

@@ -15,7 +15,8 @@ cache keys and be shared freely across threads.
 from __future__ import annotations
 
 import re
-from ._record import field, record
+from ._record import record
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 # ``\s`` matches exactly the code points for which ``str.isspace`` holds.
@@ -184,7 +185,7 @@ class KnowledgeBase:
 
     tbox: tuple[TBoxAxiom, ...] = ()
     abox: tuple[ABoxAxiom, ...] = ()
-    prefixes: Mapping[str, str] = field(default_factory=dict)
+    prefixes: Mapping[str, str] = MappingProxyType({})  # shared, read-only
 
     def gcis(self) -> Iterator[SubClass]:
         """All T-Box content as plain inclusions (equivalences split in two)."""

@@ -7,7 +7,7 @@ knowledge bases built from every shape the absorption rules rewrite.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from dlq.interpretation import bounded_model_search, extension, verify_model
@@ -193,11 +193,14 @@ _kbs = st.builds(
 )
 
 
-# Derandomized: the same examples on every run.  Some knowledge bases of
-# this shape make the tableau's chronological backtracking revisit
-# thousands of choice points (minutes, with or without absorption), so a
-# random draw could stall the suite; the fixed draw runs in seconds.
-@settings(max_examples=200, deadline=None, derandomize=True)
+# A fixed seed: the same examples on every run, whatever the test's source.
+# Some knowledge bases of this shape make the tableau's chronological
+# backtracking revisit thousands of choice points (minutes, with or without
+# absorption), so a random draw could stall the suite; this draw runs in
+# seconds.  The seed is the one ``derandomize=True`` drew from this test's
+# source digest before it was pinned, so the examples are the same 200.
+@settings(max_examples=200, deadline=None, database=None)
+@seed(26327813396743923133071696023013847051168628853735607707931083924655440747463466538140013916278236462025085336174418)
 @given(_kbs, _concepts)
 def test_absorbed_tableau_agrees_with_the_model_oracles(kb, probe):
     # A witness must be a model of the whole T-Box, absorbed or not; an

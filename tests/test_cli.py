@@ -72,9 +72,13 @@ class TestReason:
         assert code == 0
         assert json.loads(out) == {"result": True}
 
-    def test_object_argument_must_be_a_name(self, capsys):
-        assert run(capsys, "reason", "instance", "{:alice}", ":Person", "--kb", KB) == (
-            2, "", "ERROR E-SYNTAX 1:1\nexpected an object name, got '{:alice}'\n")
+    @pytest.mark.parametrize("obj, err", [
+        ("{:alice}", "ERROR E-SYNTAX 1:1\nexpected an IRI or prefixed name, found '{'\n"),
+        (":alice and :bob",
+         "ERROR E-SYNTAX 1:8\ntrailing input after object name, found 'and'\n"),
+    ])
+    def test_object_argument_must_be_a_name(self, capsys, obj, err):
+        assert run(capsys, "reason", "instance", obj, ":Person", "--kb", KB) == (2, "", err)
 
     @pytest.mark.parametrize("argv", [
         ["reason", "sub", ":Chair", ":Person"],

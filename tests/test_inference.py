@@ -67,18 +67,18 @@ class TestCombine:
     def test_conjunction_on_shared_variable(self):
         left = infer_pattern(RolePattern(Y, R, X))
         right = infer_pattern(ConceptPattern(X, A))
-        phi = combine(left, right, "and")
+        phi = combine(left, right, And)
         assert phi == {
             Y: VarRef(R, X),
             X: And(VarRef(R.inverted(), Y), A),
         }
 
     def test_disjoint_domains_union_bindings(self):
-        phi = combine(VariableTyping({X: A}), VariableTyping({Y: B}), "or")
+        phi = combine(VariableTyping({X: A}), VariableTyping({Y: B}), Or)
         assert phi == {X: A, Y: B}
 
     def test_no_idempotence_normalisation(self):
-        phi = combine(VariableTyping({X: A}), VariableTyping({X: A}), "and")
+        phi = combine(VariableTyping({X: A}), VariableTyping({X: A}), And)
         assert phi == {X: And(A, A)}
 
 

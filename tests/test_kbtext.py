@@ -10,6 +10,7 @@ from dlq.kbtext import (
     ParseError,
     parse_concept,
     parse_kb,
+    parse_name,
     parse_role,
     print_concept,
     print_kb,
@@ -186,6 +187,25 @@ class TestParseRole:
     def test_plain_and_inverse(self):
         assert parse_role(":r", P) == Role(iri("r"))
         assert parse_role("inv(:r)", P) == Role(iri("r"), inverse=True)
+
+
+class TestParseName:
+    def test_prefixed_name_and_full_iri(self):
+        assert parse_name(":alice", P) == iri("alice")
+        assert parse_name(f"  <{EX}alice> ", P) == iri("alice")
+
+    @pytest.mark.parametrize("text, column, message", [
+        ("", 1, "expected an IRI or prefixed name, found end of input"),
+        ("Thing", 1, "expected an IRI or prefixed name, found 'Thing'"),
+        ("{:alice}", 1, "expected an IRI or prefixed name, found '{'"),
+        ("foo:x", 1, "unknown prefix 'foo:'"),
+        (":alice :bob", 8, "trailing input after object name, found ':bob'"),
+        (":alice and :bob", 8, "trailing input after object name, found 'and'"),
+    ])
+    def test_anything_else_is_an_error_at_its_token(self, text, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_name(text, P)
+        assert (err.value.line, err.value.column, err.value.message) == (1, column, message)
 
 
 class TestParseKb:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import pathlib
@@ -86,35 +85,36 @@ class TestConceptNode:
 
 
 class TestIdentityRecords:
-    def test_frozen_without_eq_keeps_identity_and_a_fresh_default(self):
+    def test_frozen_without_eq_keeps_identity_and_a_shared_read_only_default(self):
         one, two = KnowledgeBase(), KnowledgeBase()
         assert one != two and one == one
         assert hash(one) == object.__hash__(one)
-        assert one.prefixes == {} and one.prefixes is not two.prefixes
-        assert repr(one) == "KnowledgeBase(tbox=(), abox=(), prefixes={})"
+        assert one.prefixes == {} and one.prefixes is two.prefixes
+        with pytest.raises(TypeError):
+            one.prefixes["x"] = "http://x/"
+        assert repr(one) == "KnowledgeBase(tbox=(), abox=(), prefixes=mappingproxy({}))"
         with pytest.raises(AttributeError):
             one.tbox = ()
 
-    def test_mutable_terms_inherit_a_field_left_out_of_init(self):
+    def test_a_term_reads_its_position_from_the_class_until_at_sets_it(self):
         term = Ref("x")
-        assert term.pos == (0, 0)
+        assert term.pos == (0, 0) and "pos" not in vars(term)
         assert term != Ref("x")
-        assert repr(term.at((2, 5))) == "Ref(pos=(2, 5), name='x')"
+        assert term.at((2, 5)) is term and term.pos == (2, 5)
+        assert Ref("y").pos == (0, 0)
+        assert repr(term) == "Ref(name='x')"
         assert IriLit(OBJ).ascription is None
         with pytest.raises(TypeError):
             Ref((1, 1), "x")
 
 
 class TestSlotDescriptors:
-    """Frozen slotted records set their own fields through the slots'
-    descriptors and inherited ones through ``object.__setattr__``."""
+    """Frozen slotted records set their fields through the slots'
+    descriptors."""
 
     @record(frozen=True, slots=True)
-    class Base:
+    class Triple:
         x: int
-
-    @record(frozen=True, slots=True)
-    class Sub(Base):
         y: str
         z: tuple = ()
 
@@ -129,35 +129,31 @@ class TestSlotDescriptors:
                 object.__setattr__(self, "lo", lo)
                 object.__setattr__(self, "hi", hi)
 
-    def test_a_subclass_sets_inherited_and_own_fields(self):
-        s = self.Sub(1, "a")
-        assert (s.x, s.y, s.z) == (1, "a", ())
-        assert self.Sub.__slots__ == ("y", "z")
-        assert not hasattr(s, "__dict__")
-        assert s == self.Sub(1, "a") != self.Sub(2, "a")
-        assert hash(s) == hash((1, "a", ()))
-        assert repr(s) == "TestSlotDescriptors.Sub(x=1, y='a', z=())"
-
     def test_post_init_rewrites_fields(self):
         assert (self.Span(5, 2).lo, self.Span(5, 2).hi) == (2, 5)
         assert self.Span(5, 2) == self.Span(2, 5)
 
     @pytest.mark.parametrize("name", ["x", "y", "z"])
     def test_assignment_and_deletion_raise(self, name):
-        s = self.Sub(1, "a")
+        s = self.Triple(1, "a")
         with pytest.raises(FrozenInstanceError, match=f"cannot assign to field {name!r}"):
             setattr(s, name, 0)
         with pytest.raises(FrozenInstanceError, match=f"cannot delete field {name!r}"):
             delattr(s, name)
         assert (s.x, s.y, s.z) == (1, "a", ())
+        assert self.Triple.__slots__ == ("x", "y", "z")
+        with pytest.raises(FrozenInstanceError):
+            s.other = 1
 
 
-def test_exception_records_raise_with_their_fields():
+def test_a_parse_error_is_a_plain_exception_with_its_position():
     with pytest.raises(ParseError) as exc:
-        raise ParseError(3, 7, "unexpected token")
-    assert str(exc.value) == "3:7: unexpected token"
-    assert exc.value == ParseError(3, 7, "unexpected token")
-    assert hash(exc.value) == hash((3, 7, "unexpected token"))
+        raise ParseError(3, 7, "m")
+    err = exc.value
+    assert str(err) == "3:7: m"
+    assert (err.line, err.column, err.message) == (3, 7, "m")
+    assert err != ParseError(3, 7, "m")
+    assert err.__traceback__ is not None
 
 
 def test_methods_written_in_the_body_are_kept():
@@ -175,46 +171,3 @@ def test_methods_written_in_the_body_are_kept():
     assert repr(Point(1)) == "point"
     assert hash(Point(1, 2)) == 1
     assert Point(1, 2) == Point(1, 2) != Point(1, 3)
-
-
-class TestFrozenExceptions:
-    """The interpreter's own attributes of an exception stay writable."""
-
-    def test_raised_through_a_context_manager_it_stays_itself(self):
-        @contextlib.contextmanager
-        def scope():
-            yield
-
-        with pytest.raises(ParseError) as exc:
-            with scope():
-                raise ParseError(1, 2, "inside")
-        assert exc.value == ParseError(1, 2, "inside")
-        assert exc.value.__traceback__ is not None
-
-    def test_chaining_and_notes(self):
-        try:
-            try:
-                raise ValueError("first")
-            except ValueError as cause:
-                raise ParseError(1, 1, "second") from cause
-        except ParseError as err:
-            assert isinstance(err.__cause__, ValueError)
-            assert err.__suppress_context__
-            err.__notes__ = ["a note"]
-            assert err.__notes__ == ["a note"]
-            del err.__notes__
-
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="add_note is new in 3.11")
-    def test_add_note(self):
-        err = ParseError(1, 1, "m")
-        err.add_note("x")
-        assert err.__notes__ == ["x"]
-
-    def test_fields_stay_frozen(self):
-        err = ParseError(1, 1, "m")
-        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'line'"):
-            err.line = 2
-        with pytest.raises(FrozenInstanceError):
-            del err.message
-        with pytest.raises(FrozenInstanceError):
-            err.other = 1
