@@ -13,16 +13,19 @@ knowledge base.
 
 Role entailment is instance entailment: with nominals, the knowledge base
 entails ``r(a, b)`` iff it entails ``a : ∃r.{b}``, so one memo holds both
-kinds of question and one pruning rule serves them.  Enumeration
-(:meth:`Reasoner.named_instances`, :meth:`Reasoner.named_role_pairs`)
-refutes candidates against one model of the knowledge base per session:
-the clash-free graph of the consistency run, read off as an
-interpretation when the session first enumerates.  A candidate outside
-the concept's extension in that model is not entailed and costs no
-tableau run; only the survivors get a refutation run.  Once the session
-holds the model, point checks consult it too.  An inconsistent knowledge
-base has no model, so nothing is pruned; nor is a candidate, or a concept
-naming an object, that the model does not interpret.
+kinds of question and one pruning rule serves them.  An edge the A-Box
+asserts holds in every model, read either way (``r(a, b)`` is also
+``inv(r)(b, a)``), so ``a : ∃r.{b}`` is true for it with no tableau run.
+Enumeration (:meth:`Reasoner.named_instances`,
+:meth:`Reasoner.named_role_pairs`) refutes candidates against one model
+of the knowledge base per session: the clash-free graph of the
+consistency run, read off as an interpretation when the session first
+enumerates.  A candidate outside the concept's extension in that model
+is not entailed and costs no tableau run; only the survivors that are not
+asserted edges get a refutation run.  Once the session holds the model,
+point checks consult it too.  An inconsistent knowledge base has no
+model, so nothing is pruned; nor is a candidate, or a concept naming an
+object, that the model does not interpret.
 
 Subsumption ``C ⊑ D`` is unsatisfiability of the probe ``C ⊓ ¬D``, and
 the session answers it from what it holds before it runs anything:
@@ -161,15 +164,23 @@ class Reasoner:
         where = model.object_map
         return [o for o in objs if o not in where or where[o] in ext]
 
+    def _told_edge(self, obj: Iri, c: Concept) -> bool:
+        """True when ``c`` is ``∃r.{b}`` and the A-Box asserts the edge
+        (obj, r, b); that edge holds in every model."""
+        return (isinstance(c, Exists) and isinstance(c.filler, Nominal)
+                and (obj, c.role, c.filler.obj) in self._tableau.told_edges)
+
     def entails_instance(self, obj: Iri, c: Concept) -> bool:
         """True iff the knowledge base entails that ``obj`` belongs to ``c``."""
         key = (obj, c)
         cached = self._instance.get(key)
         if cached is None:
-            if not self._instance_candidates(c, (obj,)):
+            if self._told_edge(obj, c):
+                cached = True
+            elif not self._instance_candidates(c, (obj,)):
                 return False
-            graph = self._tableau.run(Not(c), obj)
-            cached = graph is None
+            else:
+                cached = self._tableau.run(Not(c), obj) is None
             self._instance[key] = cached
         return cached
 

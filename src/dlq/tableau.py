@@ -75,6 +75,7 @@ blockers, which the pairwise blocking condition makes safe.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from .model import (
@@ -351,6 +352,14 @@ class Tableau:
                         seen.add(a)
                         todo.append(a)
         return seen
+
+    @cached_property
+    def told_edges(self) -> frozenset[tuple[Iri, Role, Iri]]:
+        """Every asserted role edge from both ends, (a, r, b) and
+        (b, inv(r), a); built on first use, so set-up does not pay for it."""
+        return frozenset(
+            edge for a in self.kb.abox if isinstance(a, RoleAssertion)
+            for edge in ((a.subject, a.role, a.obj), (a.obj, a.role.inverted(), a.subject)))
 
     def _initial_graph(self, concept: Optional[Concept], obj: Optional[Iri]) -> _Graph:
         graph = _Graph(self.unfolding, self._neg)

@@ -8,6 +8,7 @@ import pytest
 
 from dlq.cli import main
 from dlq.kbtext import parse_kb, shorten
+from dlq.lang import ListVal, evaluate, parse_program
 from dlq.model import signature
 from dlq.reasoner import Reasoner
 
@@ -520,3 +521,24 @@ class TestErrorCorpus:
         path = str(FIXTURES / "errors" / "e_empty.dlq")
         code, out, err = run(capsys, "lang", "run", path, "--kb", KB)
         assert (code, out.strip(), err) == (0, "[]", "")
+
+
+class TestFailureScenarios:
+    """Each failure scenario as the checker reports it and as an unchecked
+    run returns it; README.md shows the same table."""
+
+    MATRIX = [("e_access.dlq", 1, "ERROR E-ACCESS 6:6"),
+              ("e_sat.dlq", 1, "ERROR E-SAT 6:3"),
+              ("e_sub.dlq", 1, "ERROR E-SUB 8:18"),
+              ("e_empty.dlq", 0, "OK")]
+
+    @pytest.mark.parametrize("kb", [KB, KB_EXT])
+    @pytest.mark.parametrize("name,expected_code,report", MATRIX)
+    def test_checked_report_and_unchecked_value(self, capsys, kb, name,
+                                                expected_code, report):
+        path = FIXTURES / "errors" / name
+        code, out, err = run(capsys, "lang", "check", str(path), "--kb", kb)
+        verdict = err.splitlines()[0] if err else out.split(" ")[0]
+        assert (code, verdict) == (expected_code, report)
+        session = Reasoner(parse_kb(pathlib.Path(kb).read_text()))
+        assert evaluate(session, parse_program(path.read_text())) == ListVal(())

@@ -195,6 +195,13 @@ class TestRoles:
         assert university.entails_role(uobj("softlang"),
                                        urole("worksFor", inverse=True), uobj("bob"))
 
+    def test_an_asserted_edge_costs_no_run(self, monkeypatch, university_kb, uc,
+                                           uobj, urole):
+        r = Reasoner(university_kb)
+        _forbid(monkeypatch, "run")
+        assert r.entails_role(uobj("bob"), urole("worksFor"), uobj("softlang"))
+        assert r.entails_instance(uobj("softlang"), uc("inv(:worksFor) some {:bob}"))
+
 
 class TestEdgeShapes:
     """Self-loops, inverse roles and edges that reach a named object through
@@ -592,6 +599,38 @@ class TestProperties:
                         And(Nominal(a), Not(d))).satisfiable)
                     answers.append(answer)
         assert answers.count(True) > 100 and answers.count(False) > 100
+
+    def test_asserted_edges_are_entailed_both_ways(self):
+        rng = random.Random(59)
+        edges = 0
+        for _ in range(100):
+            kb = random_kb(rng)
+            for a in kb.abox:
+                if isinstance(a, RoleAssertion):
+                    for s, role, o in ((a.subject, a.role, a.obj),
+                                       (a.obj, a.role.inverted(), a.subject)):
+                        assert Tableau(kb).run(Not(Exists(role, Nominal(o))), s) is None
+                        edges += 1
+        assert edges > 50
+
+    def test_role_answers_match_a_run_for_every_pair(self):
+        # ``point`` never enumerates, so it holds no model to prune with and
+        # every one of its answers comes from the asserted edges or a run.
+        rng = random.Random(61)
+        roles = [Role(iri("r")), Role(iri("s")), Role(iri("r"), inverse=True)]
+        entailed = 0
+        for _ in range(60):
+            kb = random_kb(rng)
+            r, point = Reasoner(kb), Reasoner(kb)
+            pairs = [(a, b) for a in r.objects for b in r.objects]
+            for role in roles:
+                expected = {(a, b) for a, b in pairs
+                            if Tableau(kb).run(Not(Exists(role, Nominal(b))), a) is None}
+                assert r.named_role_pairs(role) == expected
+                assert {(a, b) for a, b in pairs
+                        if point.entails_role(a, role, b)} == expected
+                entailed += len(expected)
+        assert entailed > 40
 
     def test_told_subsumers_are_subsumers(self):
         rng = random.Random(53)

@@ -21,7 +21,7 @@ from dlq.tableau import Tableau, _Graph
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 WORKED_EXAMPLE = "SELECT ?x ?y WHERE { ?y :worksFor ?x . ?x a :ResearchGroup }"
 OBJECTS = 160
-BUDGET_S = 30.0   # about 3 s on a 2-core x86 VM
+BUDGET_S = 30.0   # about 0.3 s on a 2-core x86 VM
 # alice, bob and softlang come with the fixture.
 WORKERS = [f"worker{i}" for i in range(OBJECTS - 3)]
 
@@ -50,7 +50,7 @@ def test_worked_example_at_160_objects(monkeypatch, uobj):
     assert set(table.rows) == {(uobj("softlang"), uobj(name))
                                for name in ["bob", *WORKERS]}
     assert len(table.rows) == OBJECTS - 2
-    assert len(runs) <= len(table.rows) + 2
+    assert len(runs) <= 2
     assert elapsed < BUDGET_S
 
 
