@@ -17,8 +17,9 @@ three options:
 
 - ``eq`` (the default): ``__eq__`` compares the field tuples of two
   objects of exactly the same class and otherwise returns
-  ``NotImplemented``.  A frozen record hashes as ``hash(tuple of fields)``.
-  With ``eq=False``, equality and hash stay by identity.
+  ``NotImplemented``.  A frozen record hashes as ``hash(tuple of fields)``
+  and any other record is unhashable.  With ``eq=False``, equality and
+  hash stay by identity.
 - ``frozen``: assignment and deletion of any attribute raise
   :class:`FrozenInstanceError`, an ``AttributeError``.  ``__init__`` sets
   the fields of a frozen slotted record through their slot descriptors'
@@ -89,6 +90,8 @@ def _build(cls, frozen: bool, slots: bool, eq: bool):
     if eq and frozen:
         source += ["def __hash__(self):", f"    return hash(({mine}))"]
     exec("\n".join(source), env)
+    if eq and not frozen:
+        env["__hash__"] = None
     # Compiling costs more than running these, so they are not generated.
     env["__repr__"] = _repr(fields)
     if frozen:

@@ -44,7 +44,7 @@ class ParseError(Exception):
         return f"{self.line}:{self.column}: {self.message}"
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Token:
     kind: str
     text: str

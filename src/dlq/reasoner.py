@@ -22,10 +22,15 @@ of the knowledge base per session: the clash-free graph of the
 consistency run, read off as an interpretation when the session first
 enumerates.  A candidate outside the concept's extension in that model
 is not entailed and costs no tableau run; only the survivors that are not
-asserted edges get a refutation run.  Once the session holds the model,
-point checks consult it too.  An inconsistent knowledge base has no
-model, so nothing is pruned; nor is a candidate, or a concept naming an
-object, that the model does not interpret.
+asserted edges get a refutation run.  Role candidates come from the
+model's edges: when the session reads the model it indexes, for every
+role name and its inverse, the named objects each named object is joined
+to, so a role pattern with a fixed end reads one row and one with both
+ends free walks the role's edges; neither visits every pair of objects.
+Once the session holds the model, point checks consult it too.  An
+inconsistent knowledge base has no model, so nothing is pruned; nor is a
+candidate, or a concept naming an object, that the model does not
+interpret.
 
 Subsumption ``C ⊑ D`` is unsatisfiability of the probe ``C ⊓ ¬D``, and
 the session answers it from what it holds before it runs anything:
@@ -89,6 +94,7 @@ class Reasoner:
         self._refuted: set[Concept] = set()
         self._consistent: Optional[bool] = None
         self._model: Optional[Interpretation] = None
+        self._edges: dict[Role, dict[Iri, list[Iri]]] = {}
 
     @property
     def objects(self) -> tuple[Iri, ...]:
@@ -103,6 +109,7 @@ class Reasoner:
             self._consistent = graph is not None
             if graph is not None:
                 self._model = self._tableau.model_of(graph)
+                self._edges = _edge_index(self._model)
         return self._model
 
     def is_consistent(self) -> bool:
@@ -207,10 +214,42 @@ class Reasoner:
                          obj: Optional[Iri] = None) -> frozenset[tuple[Iri, Iri]]:
         """The entailed ``role`` edges between named objects, as (subject,
         object) pairs; a given ``subject`` or ``obj`` fixes that end."""
-        self._session_model()
-        subjects = self.objects if subject is None else (subject,)
-        objs = self.objects if obj is None else (obj,)
-        probes = ((b, self._role_probe(role, b)) for b in objs)
-        return frozenset((a, b) for b, c in probes
-                         for a in self._instance_candidates(c, subjects)
-                         if self.entails_instance(a, c))
+        return frozenset((a, b) for a, b in self._role_candidates(role, subject, obj)
+                         if self.entails_instance(a, self._role_probe(role, b)))
+
+    def _role_candidates(self, role: Role, subject: Optional[Iri],
+                         obj: Optional[Iri]) -> Iterable[tuple[Iri, Iri]]:
+        """The pairs the held model does not refute as ``role`` edges: those
+        it joins by ``role``, and every pairing with an end it does not
+        interpret."""
+        model = self._session_model()
+        if model is None or any(end is not None and end not in model.object_map
+                                for end in (subject, obj)):
+            subjects = self.objects if subject is None else (subject,)
+            objs = self.objects if obj is None else (obj,)
+            return ((a, b) for a in subjects for b in objs)
+        if subject is not None:
+            row = self._edges.get(role, {}).get(subject, ())
+            return ((subject, b) for b in row if obj is None or b == obj)
+        if obj is not None:
+            return ((a, obj) for a in self._edges.get(role.inverted(), {}).get(obj, ()))
+        return ((a, b) for a, row in self._edges.get(role, {}).items() for b in row)
+
+
+def _edge_index(model: Interpretation) -> dict[Role, dict[Iri, list[Iri]]]:
+    """For each role name and its inverse, each named object's row of the
+    named objects ``model`` joins it to; objects merged onto one element
+    share its rows."""
+    at: dict[int, list[Iri]] = {}
+    for o, x in model.object_map.items():
+        at.setdefault(x, []).append(o)
+    index: dict[Role, dict[Iri, list[Iri]]] = {}
+    for name, pairs in model.role_ext.items():
+        forward = index[Role(name)] = {}
+        backward = index[Role(name, inverse=True)] = {}
+        for x, y in pairs:
+            for a in at.get(x, ()):
+                for b in at.get(y, ()):
+                    forward.setdefault(a, []).append(b)
+                    backward.setdefault(b, []).append(a)
+    return index

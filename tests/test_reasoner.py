@@ -5,7 +5,13 @@ import sys
 
 import pytest
 
-from dlq.interpretation import bounded_model_search, extension, verify_model
+from dlq.algebra import eval_algebraic
+from dlq.interpretation import (
+    bounded_model_search,
+    denotational_eval,
+    extension,
+    verify_model,
+)
 from dlq.kbtext import parse_concept, parse_kb
 from dlq.model import (
     And,
@@ -27,9 +33,10 @@ from dlq.model import (
     concept_signature,
     negated,
 )
+from dlq.query import RolePattern, SolutionMapping, Var
 from dlq.reasoner import Reasoner
 from dlq.tableau import Tableau, _Graph
-from support import iri, random_kb, _random_simple_concept
+from support import EX, iri, random_kb, _random_simple_concept
 
 
 def _stack_depth() -> int:
@@ -631,6 +638,50 @@ class TestProperties:
                         if point.entails_role(a, role, b)} == expected
                 entailed += len(expected)
         assert entailed > 40
+
+    def test_every_shape_of_role_pattern_matches_point_checks(self):
+        # Candidates come from the session model's edges; ``point`` never
+        # enumerates, so its answers come from the asserted edges or a run.
+        # ``:zed`` is outside every KB, so the model does not interpret it;
+        # the next-to-last KB merges :o1 and :o2 onto one element and makes
+        # every element, :zed too, an :s-neighbour of :o3, and the last is
+        # inconsistent, so there is no model at all.
+        rng = random.Random(67)
+        roles = [Role(iri("r")), Role(iri("s")), Role(iri("r"), inverse=True)]
+        kbs = [random_kb(rng) for _ in range(150)]
+        kbs.append(parse_kb(f"prefix : <{EX}>\n:A SubClassOf {{:o1}}\n:o2 Type :A\n"
+                            "Thing SubClassOf :s some {:o3}\n"
+                            ":o3 Fact :r :o2\n:o1 Fact :r :o3\n:o2 Fact :s :o2\n"))
+        kbs.append(kbs[0].extended(ConceptAssertion(iri("o1"), BOTTOM)))
+        x = Var("x")
+        entailed = loops = outside = 0
+        for kb in kbs:
+            r, point = Reasoner(kb), Reasoner(kb)
+            assert r.is_consistent() == (kb is not kbs[-1])
+            objects = r.objects
+            ends = objects + (iri("zed"),)
+            for role in roles:
+                accepted = {(a, b) for a in ends for b in ends
+                            if point.entails_role(a, role, b)}
+                for a in ends:
+                    assert r.named_role_pairs(role, a, None) == \
+                        {(a, b) for b in objects if (a, b) in accepted}
+                    assert r.named_role_pairs(role, None, a) == \
+                        {(b, a) for b in objects if (b, a) in accepted}
+                    for b in ends:
+                        assert r.named_role_pairs(role, a, b) == {(a, b)} & accepted
+                assert r.named_role_pairs(role) == \
+                    {(a, b) for a, b in accepted if a in objects and b in objects}
+                loop = RolePattern(x, role, x)
+                answers = eval_algebraic(r, loop)
+                assert answers == denotational_eval(Reasoner(kb), loop)
+                assert answers == {SolutionMapping.of({x: a}) for a in objects
+                                   if (a, a) in accepted}
+                entailed += len(accepted)
+                loops += len(answers)
+                if r.is_consistent():
+                    outside += sum(iri("zed") in pair for pair in accepted)
+        assert entailed > 120 and loops > 30 and outside > 0
 
     def test_told_subsumers_are_subsumers(self):
         rng = random.Random(53)

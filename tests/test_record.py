@@ -11,7 +11,7 @@ import pytest
 import dlq
 from dlq._record import FrozenInstanceError, record
 from dlq.lang.syntax import IriLit, Ref
-from dlq.lexing import ParseError
+from dlq.lexing import ParseError, Token
 from dlq.model import (
     And,
     Atomic,
@@ -144,6 +144,19 @@ class TestSlotDescriptors:
         assert self.Triple.__slots__ == ("x", "y", "z")
         with pytest.raises(FrozenInstanceError):
             s.other = 1
+
+
+def test_a_token_is_a_plain_slotted_record_compared_by_value_and_unhashable():
+    token = Token("WORD", "and", 1, 4)
+    assert token == Token("WORD", "and", 1, 4) != Token("WORD", "and", 1, 5)
+    assert repr(token) == "Token(kind='WORD', text='and', line=1, column=4)"
+    assert Token.__slots__ == ("kind", "text", "line", "column")
+    token.column = 5
+    assert token == Token("WORD", "and", 1, 5)
+    with pytest.raises(TypeError):
+        hash(token)
+    with pytest.raises(AttributeError):
+        token.other = 1
 
 
 def test_a_parse_error_is_a_plain_exception_with_its_position():

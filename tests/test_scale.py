@@ -4,7 +4,9 @@ fixture university knowledge base plus research assistants that each work
 for ``:softlang``, 160 named objects in all.  Each tableau run used to
 branch on every T-Box inclusion at every node, which put this size at
 minutes; with the T-Box absorbed it takes seconds.  The consistency run
-must not rebuild the blocking map once per ∃ round either.
+must not rebuild the blocking map once per ∃ round either, and the role
+pattern must read its candidates off the session model's edges rather
+than compute one extension per object.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import pathlib
 import time
 
+import dlq.reasoner
 from dlq.algebra import eval_algebraic, project
 from dlq.kbtext import parse_kb
 from dlq.query import parse_query
@@ -31,15 +34,20 @@ def _worked_example_kb():
         f":{w} Type :ResearchAssistant\n:{w} Fact :worksFor :softlang\n" for w in WORKERS))
 
 
-def test_worked_example_at_160_objects(monkeypatch, uobj):
-    runs = []
-    original = Tableau.run
+def test_worked_example_at_160_objects(monkeypatch, uobj, uc):
+    runs, extensions = [], []
+    original, extension = Tableau.run, dlq.reasoner.extension
 
     def counted(self, *args, **kwargs):
         runs.append(args)
         return original(self, *args, **kwargs)
 
+    def counted_extension(c, model):
+        extensions.append(c)
+        return extension(c, model)
+
     monkeypatch.setattr(Tableau, "run", counted)
+    monkeypatch.setattr(dlq.reasoner, "extension", counted_extension)
     kb = _worked_example_kb()
     session = Reasoner(kb)
     assert len(session.objects) == OBJECTS
@@ -51,6 +59,8 @@ def test_worked_example_at_160_objects(monkeypatch, uobj):
                                for name in ["bob", *WORKERS]}
     assert len(table.rows) == OBJECTS - 2
     assert len(runs) <= 2
+    # A count, not a time: the only extension is the concept pattern's.
+    assert extensions == [uc(":ResearchGroup")]
     assert elapsed < BUDGET_S
 
 
