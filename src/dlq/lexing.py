@@ -44,7 +44,7 @@ class ParseError(Exception):
         return f"{self.line}:{self.column}: {self.message}"
 
 
-@record(slots=True)
+@record()
 class Token:
     kind: str
     text: str

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Union
 _find_space = re.compile(r"\s").search
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class Iri:
     """An absolute IRI."""
 
@@ -39,7 +39,7 @@ class Iri:
         return f"<{self.value}>"
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class Role:
     """A role expression: an atomic role name or its inverse."""
 
@@ -51,77 +51,60 @@ class Role:
 
 
 class Concept:
-    """Base class for concept expressions."""
+    """Base class for concept expressions.
 
-    _hash = None  # the structural hash, stored per instance on first use
+    The subclasses are frozen records, so a node stores its hash the first
+    time it is hashed: concept trees key every label, memo and cache."""
 
-
-def _concept_node(cls):
-    """Frozen record whose structural hash is computed once per instance.
-
-    Concept trees are used as set members and cache keys constantly; the
-    generated recursive hash would dominate the reasoner's runtime.
-    """
-    cls = record(frozen=True)(cls)
-    generated = cls.__hash__
-
-    def cached_hash(self):
-        value = self._hash
-        if value is None:
-            value = generated(self)
-            object.__setattr__(self, "_hash", value)
-        return value
-
-    cls.__hash__ = cached_hash
-    return cls
+    __slots__ = ()
 
 
-@_concept_node
+@record(frozen=True)
 class Top(Concept):
     pass
 
 
-@_concept_node
+@record(frozen=True)
 class Bottom(Concept):
     pass
 
 
-@_concept_node
+@record(frozen=True)
 class Atomic(Concept):
     iri: Iri
 
 
-@_concept_node
+@record(frozen=True)
 class Nominal(Concept):
     """The concept containing exactly one named object."""
 
     obj: Iri
 
 
-@_concept_node
+@record(frozen=True)
 class Not(Concept):
     operand: Concept
 
 
-@_concept_node
+@record(frozen=True)
 class And(Concept):
     left: Concept
     right: Concept
 
 
-@_concept_node
+@record(frozen=True)
 class Or(Concept):
     left: Concept
     right: Concept
 
 
-@_concept_node
+@record(frozen=True)
 class Exists(Concept):
     role: Role
     filler: Concept
 
 
-@_concept_node
+@record(frozen=True)
 class Forall(Concept):
     role: Role
     filler: Concept
@@ -131,25 +114,25 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class SubClass:
     sub: Concept
     sup: Concept
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class Equivalent:
     left: Concept
     right: Concept
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class ConceptAssertion:
     obj: Iri
     concept: Concept
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class RoleAssertion:
     """A role edge between two named objects.
 
@@ -205,7 +188,7 @@ class KnowledgeBase:
         return KnowledgeBase(tbox, abox, self.prefixes)
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class Signature:
     """The atomic names occurring syntactically in a knowledge base."""
 
@@ -243,32 +226,6 @@ def signature(kb: KnowledgeBase) -> Signature:
     concepts: set[Iri] = set()
     roles: set[Iri] = set()
     objects: set[Iri] = set()
-    _collect_kb(kb, concepts, roles, objects)
-    return Signature(frozenset(concepts), frozenset(roles), frozenset(objects))
-
-
-def object_names(kb: KnowledgeBase) -> set[Iri]:
-    """``signature(kb).objects``, without hashing the concept and role
-    names into sets nobody reads."""
-    objects: set[Iri] = set()
-    _collect_kb(kb, _DISCARD, _DISCARD, objects)
-    return objects
-
-
-class _Discard(set):
-    """A set that keeps nothing: the sink for names a caller does not want."""
-
-    __slots__ = ()
-
-    def add(self, _name: Iri) -> None:
-        pass
-
-
-_DISCARD = _Discard()
-
-
-def _collect_kb(kb: KnowledgeBase, concepts: set[Iri], roles: set[Iri],
-                objects: set[Iri]) -> None:
     for axiom in kb.tbox:
         if isinstance(axiom, SubClass):
             _collect(axiom.sub, concepts, roles, objects)
@@ -284,6 +241,7 @@ def _collect_kb(kb: KnowledgeBase, concepts: set[Iri], roles: set[Iri],
             objects.add(assertion.subject)
             objects.add(assertion.obj)
             roles.add(assertion.role.iri)
+    return Signature(frozenset(concepts), frozenset(roles), frozenset(objects))
 
 
 def concept_depth(c: Concept) -> int:

@@ -38,12 +38,12 @@ __all__ = [
 ]
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class Var:
     name: str
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class Splice:
     """A ``$name`` position that an embedding program fills with an IRI.
     ``Splice("t")`` and ``Var("t")`` are different terms."""
@@ -58,18 +58,22 @@ PatternElem = TUnion[Var, Iri, Splice]
 class Query:
     """Base class for query algebra nodes."""
 
+    __slots__ = ()
+
 
 class Pattern(Query):
     """Base class for the leaves: a concept or a role pattern."""
 
+    __slots__ = ()
 
-@record(frozen=True, slots=True)
+
+@record(frozen=True)
 class ConceptPattern(Pattern):
     elem: PatternElem
     concept: Concept
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class RolePattern(Pattern):
     subject: PatternElem
     role: Role
@@ -168,7 +172,7 @@ class SelectQuery:
 # --- solution mappings ------------------------------------------------------
 
 
-@record(frozen=True, slots=True)
+@record(frozen=True)
 class SolutionMapping:
     """A partial map from variables to objects, canonically ordered."""
 

@@ -100,7 +100,7 @@ from .model import (
     concept_signature,
     negated,
     nnf,
-    object_names,
+    signature,
 )
 
 class _Graph:
@@ -328,7 +328,7 @@ class Tableau:
         self.kb = kb
         self.unfolding, self.internalized = _absorb(kb.gcis())
         self.named: tuple[Iri, ...] = tuple(
-            sorted(object_names(kb), key=lambda i: i.value))
+            sorted(signature(kb).objects, key=lambda i: i.value))
         self._negations: dict[Concept, Concept] = {}
 
     def _neg(self, c: Concept) -> Concept:

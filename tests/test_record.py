@@ -10,12 +10,15 @@ import pytest
 
 import dlq
 from dlq._record import FrozenInstanceError, record
-from dlq.lang.syntax import IriLit, Ref
+from dlq.inference import Valid
+from dlq.lang.syntax import BOOL, ConceptType, IriLit, IriVal, Ref
 from dlq.lexing import ParseError, Token
 from dlq.model import (
+    TOP,
     And,
     Atomic,
     Exists,
+    Interpretation,
     Iri,
     KnowledgeBase,
     Nominal,
@@ -23,6 +26,8 @@ from dlq.model import (
     Role,
     RoleAssertion,
 )
+from dlq.query import ConceptPattern, Join, SelectQuery, SolutionMapping, Var
+from dlq.reasoner import SatResult
 
 A = Atomic(Iri("http://x/A"))
 R = Role(Iri("http://x/r"))
@@ -57,7 +62,7 @@ class TestFrozenSlots:
         with pytest.raises(AttributeError):
             del R.iri
         assert not hasattr(R, "__dict__")
-        assert Role.__slots__ == ("iri", "inverse")
+        assert Role.__slots__ == ("iri", "inverse", "_hash")
 
     def test_post_init_swaps_an_inverse_role_assertion(self):
         a, b = Iri("http://x/a"), Iri("http://x/b")
@@ -66,14 +71,41 @@ class TestFrozenSlots:
             Iri("")
 
 
-class TestConceptNode:
-    def test_hash_is_the_field_tuple_hash_and_is_cached(self):
-        c = Exists(R, Nominal(OBJ))
-        assert c._hash is None
-        assert hash(c) == hash((R, Nominal(OBJ)))
-        assert c._hash == hash(c)
-        assert c == Exists(R, Nominal(OBJ))
+X = Var("x")
+PATTERN = ConceptPattern(X, A)
 
+
+@pytest.mark.parametrize("make, values", [
+    (lambda: Iri("http://x/o"), ("http://x/o",)),
+    (lambda: Role(OBJ, True), (OBJ, True)),
+    (lambda: Exists(R, Nominal(OBJ)), (R, Nominal(OBJ))),
+    (lambda: Join(PATTERN, PATTERN), (PATTERN, PATTERN)),
+    (lambda: ConceptPattern(X, A), (X, A)),
+    (lambda: SolutionMapping(((X, OBJ),)), (((X, OBJ),),)),
+], ids=["Iri", "Role", "Exists", "Join", "ConceptPattern", "SolutionMapping"])
+def test_a_value_record_stores_its_field_tuple_hash_on_first_use(make, values):
+    x = make()
+    assert x._hash is None
+    assert hash(x) == hash(values) == x._hash
+    assert x == make()
+    object.__setattr__(x, "_hash", 7)
+    assert hash(x) == 7  # later calls read the stored value
+
+
+def test_no_record_instance_has_a_dict_except_a_term():
+    records = [
+        Exists(R, A), TOP, Join(PATTERN, PATTERN), PATTERN,
+        SelectQuery.build((X,), PATTERN), KnowledgeBase(),
+        Interpretation(frozenset(), {}, {}, {}), SatResult(True),
+        Valid({}, {}), ConceptType(A), BOOL, IriVal(OBJ),
+        Token("WORD", "and", 1, 4),
+    ]
+    for value in records:
+        assert not hasattr(value, "__dict__"), value
+    assert hasattr(Ref("x"), "__dict__")
+
+
+class TestConceptNode:
     def test_equality_is_not_implemented_across_classes(self):
         assert And(A, A).__eq__(Or(A, A)) is NotImplemented
         assert And(A, A) != Or(A, A)
@@ -112,13 +144,13 @@ class TestSlotDescriptors:
     """Frozen slotted records set their fields through the slots'
     descriptors."""
 
-    @record(frozen=True, slots=True)
+    @record(frozen=True)
     class Triple:
         x: int
         y: str
         z: tuple = ()
 
-    @record(frozen=True, slots=True)
+    @record(frozen=True)
     class Span:
         lo: int
         hi: int
@@ -141,7 +173,7 @@ class TestSlotDescriptors:
         with pytest.raises(FrozenInstanceError, match=f"cannot delete field {name!r}"):
             delattr(s, name)
         assert (s.x, s.y, s.z) == (1, "a", ())
-        assert self.Triple.__slots__ == ("x", "y", "z")
+        assert self.Triple.__slots__ == ("x", "y", "z", "_hash")
         with pytest.raises(FrozenInstanceError):
             s.other = 1
 
@@ -183,4 +215,6 @@ def test_methods_written_in_the_body_are_kept():
 
     assert repr(Point(1)) == "point"
     assert hash(Point(1, 2)) == 1
+    assert Point.__slots__ == ("x", "y")
+    assert not hasattr(Point(1), "_hash")
     assert Point(1, 2) == Point(1, 2) != Point(1, 3)
