@@ -21,6 +21,7 @@ first.
 from __future__ import annotations
 
 import json
+from functools import reduce
 from typing import Mapping
 
 from ._record import record
@@ -89,9 +90,9 @@ def eval_algebraic(r: Reasoner, q: Query) -> frozenset[SolutionMapping]:
     if isinstance(q, Pattern):
         return _eval_pattern(r, q)
     if isinstance(q, Join):
-        return _merge_all(eval_algebraic(r, q.left), eval_algebraic(r, q.right))
+        return reduce(_merge_all, [eval_algebraic(r, p) for p in q.parts])
     if isinstance(q, Union):
-        return eval_algebraic(r, q.left) | eval_algebraic(r, q.right)
+        return frozenset().union(*[eval_algebraic(r, p) for p in q.parts])
     if isinstance(q, Minus):
         return frozenset(
             mu for mu in eval_algebraic(r, q.left) if not satisfies(r, q.right, mu)

@@ -23,7 +23,7 @@ declared type into every reference to the splice.
 from __future__ import annotations
 
 from ._record import record
-from typing import Callable, Mapping, Union as TUnion
+from typing import Callable, Mapping, Sequence, Union as TUnion
 
 from .model import (
     And,
@@ -97,39 +97,35 @@ def infer_pattern(p: Pattern) -> VariableTyping:
         return VariableTyping({subject: Exists(role, Nominal(obj))})
     if subject == obj:
         # Both endpoints constrain the same key; conjoin.
-        return VariableTyping({subject: And(
-            VarRef(role, obj), VarRef(role.inverted(), subject))})
+        return VariableTyping({subject: And((
+            VarRef(role, obj), VarRef(role.inverted(), subject)))})
     return VariableTyping({
         subject: VarRef(role, obj),
         obj: VarRef(role.inverted(), subject),
     })
 
 
-def combine(p1: VariableTyping, p2: VariableTyping,
+def combine(typings: Sequence[VariableTyping],
             connective: type[And] | type[Or]) -> VariableTyping:
-    """Pointwise combination: shared variables get ``connective`` (``And``
-    or ``Or``) of both sides, one-sided variables carry over unchanged."""
-    out: dict[Var | Splice, InfConcept] = {}
-    for var, c in p1.items():
-        other = p2.get(var)
-        out[var] = c if other is None else connective(c, other)
-    for var, c in p2.items():
-        if var not in p1:
-            out[var] = c
-    return VariableTyping(out)
+    """Pointwise combination: a key of several typings gets ``connective``
+    (``And`` or ``Or``) of their concepts in order, a key of one its own."""
+    gathered: dict[Var | Splice, list[InfConcept]] = {}
+    for phi in typings:
+        for var, c in phi.items():
+            gathered.setdefault(var, []).append(c)
+    return VariableTyping({var: cs[0] if len(cs) == 1 else connective(tuple(cs))
+                           for var, cs in gathered.items()})
 
 
 def infer_query(q: Query) -> VariableTyping:
     """Structural inference over the algebra (references unresolved)."""
     if isinstance(q, Pattern):
         return infer_pattern(q)
-    if isinstance(q, Join):
-        return combine(infer_query(q.left), infer_query(q.right), And)
-    if isinstance(q, Union):
-        return combine(infer_query(q.left), infer_query(q.right), Or)
+    if isinstance(q, (Join, Union)):
+        return combine([infer_query(p) for p in q.parts], And if isinstance(q, Join) else Or)
     if isinstance(q, Optional):
         left = infer_query(q.left)
-        return combine(left, combine(left, infer_query(q.right), And), Or)
+        return combine([left, combine([left, infer_query(q.right)], And)], Or)
     if isinstance(q, Minus):
         return infer_query(q.left)
     raise TypeError(f"not a query: {q!r}")
@@ -141,29 +137,32 @@ def resolve_references(
 ) -> VariableTyping:
     """Expand every reference, per key, against the original typing.
 
-    A reference back to a key already on the current expansion path
-    widens to the top concept, so resolution always terminates, including
-    on mutual-reference cycles.  ``substitutions`` short-circuits chosen
-    splices to a fixed concept (strict-mode narrowing) and replaces
-    their own entries.
+    A key's expansion walks depth-first, operands in order, and keeps one
+    set of the keys it expanded, itself included; a reference to one of them
+    widens to ``∃r.⊤``, which only weakens the type.  So each key is expanded
+    at most once per resolved concept: resolution terminates on cycles, and
+    a k-clique gives O(k²) per key, not O(k!).  ``substitutions``
+    short-circuits chosen splices to a fixed concept (strict-mode
+    narrowing) and replaces their own entries.
     """
     subs = dict(substitutions or {})
 
-    def expand(c: InfConcept, path: frozenset[Var | Splice]) -> Concept:
+    def expand(c: InfConcept, seen: set[Var | Splice]) -> Concept:
         if isinstance(c, VarRef):
             if c.var in subs:
                 return Exists(c.role, subs[c.var])
-            if c.var in path or c.var not in phi:
+            if c.var in seen or c.var not in phi:
                 return Exists(c.role, TOP)
-            return Exists(c.role, expand(phi[c.var], path | {c.var}))
+            seen.add(c.var)
+            return Exists(c.role, expand(phi[c.var], seen))
         # References sit only in the conjunctions and disjunctions that
         # ``infer_pattern`` and ``combine`` build.
         if isinstance(c, (And, Or)):
-            return type(c)(expand(c.left, path), expand(c.right, path))
+            return type(c)(tuple([expand(x, seen) for x in c.operands]))
         return c
 
     resolved = {
-        var: subs[var] if var in subs else expand(c, frozenset([var]))
+        var: subs[var] if var in subs else expand(c, {var})
         for var, c in phi.items()
     }
     return VariableTyping(resolved)
@@ -250,7 +249,7 @@ def validate_query(
     for splice, concept in declared.items():
         inferred = phi.get(splice, TOP)
         if mode == "nonstrict":
-            if not r.is_satisfiable(And(inferred, concept)).satisfiable:
+            if not r.is_satisfiable(And((inferred, concept))).satisfiable:
                 return SpliceMismatch(splice.name, mode, concept, inferred)
         else:
             if not r.entails_subsumption(concept, inferred):

@@ -19,6 +19,7 @@ only the production code.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterator
 
 from .model import (
@@ -118,6 +119,15 @@ def _or3(a, b):
     return _UNKNOWN
 
 
+def _axiom_concept(axiom) -> Concept:
+    """A concept over exactly the names the axiom's truth depends on."""
+    if isinstance(axiom, SubClass):
+        return And((axiom.sub, axiom.sup))
+    if isinstance(axiom, ConceptAssertion):
+        return And((Nominal(axiom.obj), axiom.concept))
+    return And((Nominal(axiom.subject), Exists(axiom.role, Nominal(axiom.obj))))
+
+
 class _Search:
     def __init__(self, kb: KnowledgeBase, goal: Concept, size: int) -> None:
         sig = signature(kb)
@@ -138,35 +148,21 @@ class _Search:
             + [("conc", (a, e)) for e in self.elems for a in self.concepts]
             + [("role", (r, i, j)) for r in self.roles for i in self.elems for j in self.elems]
         )
-        self.axiom_slots = [self._relevant_slots(*self._axiom_signature(a))
+        self.axiom_slots = [self._relevant_slots(concept_signature(_axiom_concept(a)))
                             for a in self.axioms]
-        self.goal_slots = self._relevant_slots(
-            extra.atomic_concepts, extra.atomic_roles, extra.objects)
+        self.goal_slots = self._relevant_slots(extra)
 
-    def _axiom_signature(self, axiom):
-        if isinstance(axiom, SubClass):
-            sub, sup = concept_signature(axiom.sub), concept_signature(axiom.sup)
-            return (sub.atomic_concepts | sup.atomic_concepts,
-                    sub.atomic_roles | sup.atomic_roles,
-                    sub.objects | sup.objects)
-        if isinstance(axiom, ConceptAssertion):
-            sig = concept_signature(axiom.concept)
-            return (sig.atomic_concepts, sig.atomic_roles,
-                    sig.objects | {axiom.obj})
-        return (frozenset(), frozenset([axiom.role.iri]),
-                frozenset([axiom.subject, axiom.obj]))
-
-    def _relevant_slots(self, concepts, roles, objects) -> list[tuple]:
+    def _relevant_slots(self, sig) -> list[tuple]:
         """The assignment slots a formula's truth can depend on, in global
         slot order."""
         out = []
         for slot in self.slots:
             kind, key = slot
-            if kind == "obj" and key in objects:
+            if kind == "obj" and key in sig.objects:
                 out.append(slot)
-            elif kind == "conc" and key[0] in concepts:
+            elif kind == "conc" and key[0] in sig.atomic_concepts:
                 out.append(slot)
-            elif kind == "role" and key[0] in roles:
+            elif kind == "role" and key[0] in sig.atomic_roles:
                 out.append(slot)
         return out
 
@@ -189,10 +185,9 @@ class _Search:
             return _UNKNOWN if at is None else at == elem
         if isinstance(c, Not):
             return _not3(self.member(elem, c.operand))
-        if isinstance(c, And):
-            return _and3(self.member(elem, c.left), self.member(elem, c.right))
-        if isinstance(c, Or):
-            return _or3(self.member(elem, c.left), self.member(elem, c.right))
+        if isinstance(c, (And, Or)):
+            return reduce(_and3 if isinstance(c, And) else _or3,
+                          [self.member(elem, x) for x in c.operands])
         if isinstance(c, (Exists, Forall)):
             name = c.role.iri
             inv = c.role.inverse
@@ -347,25 +342,27 @@ def solves(r: Reasoner, q: Query, mu: SolutionMapping) -> bool:
     if isinstance(q, Pattern):
         return mu.domain == query_vars(q) and satisfies(r, q, mu)
     if isinstance(q, Join):
+        # Pairwise: the first part against the join of the rest.
+        first, rest = q.parts[0], q.parts[1] if len(q.parts) == 2 else Join(q.parts[1:])
         items = mu.bindings
         n = len(items)
         subsets = [SolutionMapping(tuple(items[i] for i in range(n) if mask >> i & 1))
                    for mask in range(1 << n)]
         for left in subsets:
-            if not solves(r, q.left, left):
+            if not solves(r, first, left):
                 continue
             for right in subsets:
                 if left.domain | right.domain == mu.domain \
-                        and solves(r, q.right, right):
+                        and solves(r, rest, right):
                     return True
         return False
     if isinstance(q, Union):
-        return solves(r, q.left, mu) or solves(r, q.right, mu)
+        return any(solves(r, p, mu) for p in q.parts)
     if isinstance(q, Minus):
         return solves(r, q.left, mu) and not satisfies(r, q.right, mu)
     if isinstance(q, Optional):
         if (query_vars(q.right) - query_vars(q.left)) & mu.domain:
-            return solves(r, Join(q.left, q.right), mu)
+            return solves(r, Join((q.left, q.right)), mu)
         return solves(r, q.left, mu)
     raise TypeError(f"not a query: {q!r}")
 

@@ -11,7 +11,9 @@ One statement per line, ``#`` comments, prefix declarations up front::
 Concept syntax, tightest binding first: ``not``, then ``some``/``only``
 (role on the left, as in ``:worksFor some :Organization``), then ``and``,
 then ``or``; parentheses override.  ``Thing``/``Nothing`` are top/bottom,
-``{:alice}`` is a nominal, ``inv(:headOf)`` an inverted role.  Printing is
+``{:alice}`` is a nominal, ``inv(:headOf)`` an inverted role.  A chain of
+``and`` (or ``or``) is one n-ary node however it is parenthesised, so
+``:A and (:B and :C)`` prints as ``:A and :B and :C``.  Printing is
 canonical: ``parse_concept(print_concept(c)) == c`` structurally.
 """
 
@@ -41,7 +43,6 @@ from .model import (
     SubClass,
     TOP,
     Top,
-    concept_depth,
 )
 
 __all__ = [
@@ -58,7 +59,7 @@ __all__ = [
 # Reasoning over a concept recurses once or twice per level (hashing,
 # normal forms, extensions), so deeper input is refused where it is read,
 # with its position, instead of exhausting the Python stack later.  A chain
-# of ``and`` or ``or`` counts one level per operand.
+# of ``and`` or ``or`` is one node, so it counts one level however long.
 MAX_CONCEPT_DEPTH = 100
 
 
@@ -113,83 +114,113 @@ def read_role(ts: TokenStream, prefixes: Mapping[str, str]) -> Role:
     return Role(read_name(ts, prefixes))
 
 
+# A name followed by none of these is a whole concept.
+_NAME_GOES_ON = frozenset(("and", "or", "some", "only"))
+# The tokens of a concept other than names, ``and``, ``or`` and parentheses.
+_CONCEPT_TOKENS = frozenset(("not", "some", "only", "inv", "Thing", "Nothing", "{", "}"))
+
+
 def read_concept(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
-    """Parse one concept expression from the stream (stops at foreign tokens).
-
-    Every constructor level owns at least one token of its own (a name,
-    ``not``, ``and``, ``or``, ``some``/``only``, ``{``, ``Thing`` or
-    ``Nothing``), so a concept read from at most ``MAX_CONCEPT_DEPTH``
-    tokens is within the depth limit, and only a longer one is walked."""
-    start, first = ts.peek(), ts.position
-    c = ts.within_stack(_or_expr, "concept", ts, prefixes)
-    if (ts.position - first > MAX_CONCEPT_DEPTH
-            and concept_depth(c) > MAX_CONCEPT_DEPTH):
-        raise ParseError(start.line, start.column,
-                         f"concept nested more than {MAX_CONCEPT_DEPTH} levels deep")
-    return c
+    """Parse one concept expression from the stream (stops at foreign tokens)."""
+    if ts.peek().kind in ("PNAME", "IRIREF") and ts.peek(1).text not in _NAME_GOES_ON:
+        return _read_atomic(ts, prefixes)  # a lone name: most concepts of a KB
+    return ts.within_stack(_ConceptReader(ts, prefixes).chain, "concept", Or, 1, None)
 
 
-def _or_expr(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
-    c = _and_expr(ts, prefixes)
-    while ts.at_word("or"):
-        ts.next()
-        c = Or(c, _and_expr(ts, prefixes))
-    return c
+class _ConceptReader:
+    """Recursive descent over one concept that refuses the first token at
+    level ``MAX_CONCEPT_DEPTH + 1``.  A ``not``, a quantifier or a whole
+    ``and``/``or`` chain is one level (a parenthesised chain inside one of
+    its kind none).  An operand's level shows only at the ``and``/``or``
+    after it, so the reader first scans the concept for where chains start:
+    each part (the concept, or the inside of parentheses) with an ``or``
+    outside parentheses, and each ``or`` operand with such an ``and``.
+    ``into`` is the kind of chain a parenthesised chain would splice into."""
 
+    def __init__(self, ts: TokenStream, prefixes: Mapping[str, str]) -> None:
+        self.ts, self.prefixes = ts, prefixes
+        self.ors: set[int] = set()
+        self.ands: set[int] = set()
+        tokens = ts.tokens
+        parts = [[ts.position, ts.position]]  # [part, its current ``or`` operand]
+        for at in range(ts.position + 1, len(tokens) + 1):
+            tok = tokens[at - 1]
+            text = tok.text  # only a WORD or PUNCT token can read as below
+            if text == "or":
+                self.ors.add(parts[-1][0])
+                parts[-1][1] = at
+            elif text == "and":
+                self.ands.add(parts[-1][1])
+            elif text == "(":
+                parts.append([at, at])
+            elif text == ")" and len(parts) > 1:
+                parts.pop()
+            elif not (tok.kind == "PNAME" or tok.kind == "IRIREF" or text in _CONCEPT_TOKENS):
+                break
 
-def _and_expr(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
-    c = _qual_expr(ts, prefixes)
-    while ts.at_word("and"):
-        ts.next()
-        c = And(c, _qual_expr(ts, prefixes))
-    return c
+    def opens(self, level: int) -> None:
+        if level > MAX_CONCEPT_DEPTH:
+            tok = self.ts.peek()
+            raise ParseError(tok.line, tok.column,
+                             f"concept nested more than {MAX_CONCEPT_DEPTH} levels deep")
 
-
-def _qual_expr(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
-    # A name followed by a quantifier keyword is a role; otherwise fall
-    # through to the unary level, where the same name is an atomic concept.
-    tok = ts.peek()
-    kind = tok.kind
-    if (kind == "WORD" and tok.text == "inv"
-            or (kind == "IRIREF" or kind == "PNAME")
-            and (after := ts.peek(1)).kind == "WORD"
-            and after.text in ("some", "only")):
-        role = read_role(ts, prefixes)
-        quant = ts.next()
-        if quant.text not in ("some", "only"):
-            raise ParseError(quant.line, quant.column, "expected 'some' or 'only'")
-        filler = _qual_expr(ts, prefixes)
-        return (Exists if quant.text == "some" else Forall)(role, filler)
-    return _unary(ts, prefixes)
-
-
-def _unary(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
-    tok = ts.peek()
-    kind, text = tok.kind, tok.text
-    if kind == "WORD":
-        if text == "not":
+    def chain(self, kind: type[Concept], level: int, into: type[Concept] | None) -> Concept:
+        """An ``or`` chain of ``and`` chains (``kind`` Or), or an ``and``
+        chain of quantified concepts, whose first token is at ``level``."""
+        ts = self.ts
+        if ts.position not in (self.ors if kind is Or else self.ands):
+            return self.chain(And, level, into) if kind is Or else self.qual(level, into)
+        operand = self.qual if kind is And else lambda level, into: self.chain(And, level, into)
+        if kind is not into:
+            level += 1
+        operands = [operand(level, kind)]
+        while ts.at_word("or" if kind is Or else "and"):
             ts.next()
-            return Not(_unary(ts, prefixes))
-        if text == "Thing":
-            ts.next()
-            return TOP
-        if text == "Nothing":
-            ts.next()
-            return BOTTOM
-    elif kind == "PUNCT":
-        if text == "{":
-            ts.next()
-            obj = read_name(ts, prefixes)
-            ts.take_punct("}")
-            return Nominal(obj)
+            operands.append(operand(level, kind))
+        return kind(tuple(operands))
+
+    def qual(self, level: int, into: type[Concept] | None) -> Concept:
+        # A name followed by a quantifier keyword is a role; otherwise fall
+        # through to the unary level, where the same name is an atomic concept.
+        ts = self.ts
+        tok = ts.peek()
+        kind = tok.kind
+        if (kind == "WORD" and tok.text == "inv"
+                or (kind == "IRIREF" or kind == "PNAME")
+                and (after := ts.peek(1)).kind == "WORD"
+                and after.text in ("some", "only")):
+            self.opens(level)
+            role = read_role(ts, self.prefixes)
+            quant = ts.next()
+            if quant.text not in ("some", "only"):
+                raise ParseError(quant.line, quant.column, "expected 'some' or 'only'")
+            filler = self.qual(level + 1, None)
+            return (Exists if quant.text == "some" else Forall)(role, filler)
+        return self.unary(level, into)
+
+    def unary(self, level: int, into: type[Concept] | None) -> Concept:
+        ts = self.ts
+        tok = ts.peek()
+        kind, text = tok.kind, tok.text
         if text == "(":
             ts.next()
-            c = _or_expr(ts, prefixes)
+            c = self.chain(Or, level, into)
             ts.take_punct(")")
             return c
-    elif kind == "IRIREF" or kind == "PNAME":
-        return _read_atomic(ts, prefixes)
-    raise ts.error("expected a concept expression")
+        if kind == "IRIREF" or kind == "PNAME":
+            self.opens(level)
+            return _read_atomic(ts, self.prefixes)
+        if text in ("{", "not", "Thing", "Nothing"):  # only a PUNCT or WORD reads so
+            self.opens(level)
+            ts.next()
+            if text == "not":
+                return Not(self.unary(level + 1, None))
+            if text == "{":
+                obj = read_name(ts, self.prefixes)
+                ts.take_punct("}")
+                return Nominal(obj)
+            return TOP if text == "Thing" else BOTTOM
+        raise ts.error("expected a concept expression")
 
 
 def parse_concept(text: str, prefixes: Mapping[str, str]) -> Concept:
@@ -302,21 +333,10 @@ def print_role(role: Role, prefixes: Mapping[str, str] | None = None) -> str:
     return f"inv({name})" if role.inverse else name
 
 
-# Precedence levels used by the printer; a child is parenthesised whenever
-# its own level is below what its context requires.
-_LEVEL_OR, _LEVEL_AND, _LEVEL_QUAL, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(c: Concept) -> int:
-    if isinstance(c, Or):
-        return _LEVEL_OR
-    if isinstance(c, And):
-        return _LEVEL_AND
-    if isinstance(c, (Exists, Forall)):
-        return _LEVEL_QUAL
-    if isinstance(c, Not):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
+# Printer precedence by class, loosest first; a child is parenthesised
+# when its level is below what its place requires.  A name, nominal,
+# ``Thing`` or ``Nothing`` is never parenthesised.
+_LEVEL = {Or: 1, And: 2, Exists: 3, Forall: 3, Not: 4}
 
 
 def _render(c: Concept, require: int, prefixes: Mapping[str, str] | None) -> str:
@@ -330,29 +350,24 @@ def _render(c: Concept, require: int, prefixes: Mapping[str, str] | None) -> str
     elif isinstance(c, Nominal):
         text = "{" + shorten(c.obj, prefixes) + "}"
     elif isinstance(c, Not):
-        text = "not " + _render(c.operand, _LEVEL_UNARY, prefixes)
-    elif isinstance(c, And):
-        text = (_render(c.left, _LEVEL_AND, prefixes) + " and "
-                + _render(c.right, _LEVEL_QUAL, prefixes))
-    elif isinstance(c, Or):
-        text = (_render(c.left, _LEVEL_OR, prefixes) + " or "
-                + _render(c.right, _LEVEL_AND, prefixes))
-    elif isinstance(c, Exists):
-        text = (print_role(c.role, prefixes) + " some "
-                + _render(c.filler, _LEVEL_QUAL, prefixes))
-    elif isinstance(c, Forall):
-        text = (print_role(c.role, prefixes) + " only "
-                + _render(c.filler, _LEVEL_QUAL, prefixes))
+        text = "not " + _render(c.operand, _LEVEL[Not], prefixes)
+    elif isinstance(c, (And, Or)):
+        # An operand binds tighter than its chain: no chain holds its own kind.
+        word = " and " if isinstance(c, And) else " or "
+        text = word.join([_render(x, _LEVEL[c.__class__] + 1, prefixes) for x in c.operands])
+    elif isinstance(c, (Exists, Forall)):
+        text = (print_role(c.role, prefixes) + (" some " if isinstance(c, Exists) else " only ")
+                + _render(c.filler, _LEVEL[Exists], prefixes))
     else:
         raise TypeError(f"not a concept: {c!r}")
-    if _level(c) < require:
+    if _LEVEL.get(c.__class__, 5) < require:
         return "(" + text + ")"
     return text
 
 
 def print_concept(c: Concept, prefixes: Mapping[str, str] | None = None) -> str:
     """Canonical text for a concept; reparsing yields a structurally equal tree."""
-    return _render(c, _LEVEL_OR, prefixes)
+    return _render(c, _LEVEL[Or], prefixes)
 
 
 def print_kb(kb: KnowledgeBase) -> str:

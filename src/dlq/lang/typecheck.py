@@ -97,7 +97,7 @@ def lub(t1: LangType, t2: LangType, pos: Pos = (0, 0),
     if isinstance(t1, ConceptType) and isinstance(t2, ConceptType):
         if t1 == t2:
             return t1
-        return ConceptType(Or(t1.concept, t2.concept))
+        return ConceptType(Or((t1.concept, t2.concept)))
     if isinstance(t1, ListType) and isinstance(t2, ListType):
         return ListType(lub(t1.elem, t2.elem, pos, prefixes))
     if isinstance(t1, TupleType) and isinstance(t2, TupleType) \

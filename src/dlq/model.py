@@ -1,12 +1,13 @@
 """Core data model for description-logic knowledge bases.
 
 Concept expressions are built from atomic concepts, single-object nominals,
-top/bottom, boolean connectives and qualified existential/universal
-quantification over (possibly inverted) roles.  A knowledge base pairs a
-T-Box of inclusion/equivalence axioms with an A-Box of concept and role
-assertions, plus the prefix table used by the textual format.  A finite
-:class:`Interpretation` gives the syntax its meaning: :func:`extension`
-is the set of domain elements a concept denotes in one.
+top/bottom, negation, n-ary conjunction and disjunction (flattened as they
+are built, see :func:`flatten`, so a chain is one node) and qualified
+existential/universal quantification over (possibly inverted) roles.  A
+knowledge base pairs a T-Box of inclusion/equivalence axioms with an A-Box
+of concept and role assertions, plus the prefix table used by the textual
+format.  A finite :class:`Interpretation` gives the syntax its meaning:
+:func:`extension` is the set of domain elements a concept denotes in one.
 
 All nodes are immutable and hashable so trees can live in sets, serve as
 cache keys and be shared freely across threads.
@@ -86,16 +87,30 @@ class Not(Concept):
     operand: Concept
 
 
+def flatten(node) -> None:
+    """``__post_init__`` of a chain node (``And``, ``Or``, the query's
+    ``Join`` and ``Union``), whose one field is a tuple of two or more items
+    (else ``ValueError``): an item of the node's own class is replaced by
+    its items, in order.  Nothing is dropped or merged."""
+    field, cls = node.__slots__[0], node.__class__
+    items = getattr(node, field)
+    if len(items) < 2:
+        raise ValueError(f"{cls.__name__} needs at least two {field}")
+    if items.__class__ is not tuple or cls in map(type, items):
+        object.__setattr__(node, field, tuple(
+            [y for x in items for y in (getattr(x, field) if x.__class__ is cls else (x,))]))
+
+
 @record(frozen=True)
 class And(Concept):
-    left: Concept
-    right: Concept
+    operands: tuple[Concept, ...]
+    __post_init__ = flatten
 
 
 @record(frozen=True)
 class Or(Concept):
-    left: Concept
-    right: Concept
+    operands: tuple[Concept, ...]
+    __post_init__ = flatten
 
 
 @record(frozen=True)
@@ -205,8 +220,8 @@ def _collect(c: Concept, concepts: set[Iri], roles: set[Iri], objects: set[Iri])
     elif isinstance(c, Not):
         _collect(c.operand, concepts, roles, objects)
     elif isinstance(c, (And, Or)):
-        _collect(c.left, concepts, roles, objects)
-        _collect(c.right, concepts, roles, objects)
+        for x in c.operands:
+            _collect(x, concepts, roles, objects)
     elif isinstance(c, (Exists, Forall)):
         roles.add(c.role.iri)
         _collect(c.filler, concepts, roles, objects)
@@ -244,23 +259,6 @@ def signature(kb: KnowledgeBase) -> Signature:
     return Signature(frozenset(concepts), frozenset(roles), frozenset(objects))
 
 
-def concept_depth(c: Concept) -> int:
-    """Constructor nesting depth of ``c`` (an atom has depth 1), computed
-    without recursion, so any depth can be measured."""
-    depth = 0
-    stack = [(c, 1)]
-    while stack:
-        c, d = stack.pop()
-        depth = max(depth, d)
-        if isinstance(c, Not):
-            stack.append((c.operand, d + 1))
-        elif isinstance(c, (And, Or)):
-            stack += [(c.left, d + 1), (c.right, d + 1)]
-        elif isinstance(c, (Exists, Forall)):
-            stack.append((c.filler, d + 1))
-    return depth
-
-
 def nnf(c: Concept) -> Concept:
     """Negation normal form: negation pushed onto atomic concepts and nominals.
 
@@ -270,10 +268,8 @@ def nnf(c: Concept) -> Concept:
     if isinstance(c, (Top, Bottom, Atomic, Nominal)):
         return c
     if isinstance(c, (And, Or)):
-        left, right = nnf(c.left), nnf(c.right)
-        if left is c.left and right is c.right:
-            return c
-        return c.__class__(left, right)
+        operands = tuple(map(nnf, c.operands))  # equal when nnf kept every operand
+        return c if operands == c.operands else c.__class__(operands)
     if isinstance(c, (Exists, Forall)):
         filler = nnf(c.filler)
         return c if filler is c.filler else c.__class__(c.role, filler)
@@ -287,14 +283,12 @@ def nnf(c: Concept) -> Concept:
             return c
         if isinstance(inner, Not):
             return nnf(inner.operand)
-        if isinstance(inner, And):
-            return Or(nnf(Not(inner.left)), nnf(Not(inner.right)))
-        if isinstance(inner, Or):
-            return And(nnf(Not(inner.left)), nnf(Not(inner.right)))
-        if isinstance(inner, Exists):
-            return Forall(inner.role, nnf(Not(inner.filler)))
-        if isinstance(inner, Forall):
-            return Exists(inner.role, nnf(Not(inner.filler)))
+        if isinstance(inner, (And, Or)):
+            dual = Or if isinstance(inner, And) else And
+            return dual(tuple([nnf(Not(x)) for x in inner.operands]))
+        if isinstance(inner, (Exists, Forall)):
+            dual = Forall if isinstance(inner, Exists) else Exists
+            return dual(inner.role, nnf(Not(inner.filler)))
     raise TypeError(f"not a concept: {c!r}")
 
 
@@ -332,10 +326,9 @@ def extension(c: Concept, interp: Interpretation) -> frozenset[int]:
         return frozenset() if elem is None else frozenset([elem])
     if isinstance(c, Not):
         return interp.domain - extension(c.operand, interp)
-    if isinstance(c, And):
-        return extension(c.left, interp) & extension(c.right, interp)
-    if isinstance(c, Or):
-        return extension(c.left, interp) | extension(c.right, interp)
+    if isinstance(c, (And, Or)):
+        parts = [extension(x, interp) for x in c.operands]
+        return frozenset.intersection(*parts) if isinstance(c, And) else frozenset.union(*parts)
     if isinstance(c, Exists):
         filler = extension(c.filler, interp)
         return frozenset(x for x, y in interp.role_pairs(c.role) if y in filler)

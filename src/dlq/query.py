@@ -11,21 +11,24 @@ Surface form::
 
     SELECT ?x ?y WHERE { ?y :worksFor ?x . ?x a :ResearchGroup }
 
-Group elements fold left to right: triples and ``{..} UNION {..}`` join
-onto the accumulated query; ``MINUS {..}`` and ``OPTIONAL {..}`` attach
-the group to it.  ``$name`` marks a splice position to be filled by an
-embedding program; ``a [ ... ]`` admits a full concept expression in
-knowledge-base concept syntax.
+A group's triples and UNION chains are the parts of one n-ary ``Join``,
+and ``{..} UNION {..} UNION {..}`` is one n-ary ``Union``, as in SPARQL's
+``GroupOrUnionGraphPattern``; both flatten as they are built, so a walker
+loops over the parts.  ``MINUS {..}`` and ``OPTIONAL {..}`` are binary and
+take all of the group before them as their left side.  ``$name`` marks a
+splice position to be filled by an embedding program; ``a [ ... ]`` admits
+a full concept expression in knowledge-base concept syntax.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from ._record import record
-from typing import Iterator, Mapping, Union as TUnion
+from typing import Mapping, Union as TUnion
 
 from .kbtext import read_concept, read_name
 from .lexing import ParseError, TokenStream, fragment
-from .model import Atomic, Concept, Iri, Role
+from .model import Atomic, Concept, Iri, Role, flatten
 from .reasoner import Reasoner
 
 __all__ = [
@@ -56,7 +59,8 @@ PatternElem = TUnion[Var, Iri, Splice]
 
 
 class Query:
-    """Base class for query algebra nodes."""
+    """Base class for query algebra nodes.  Every node but a pattern has
+    ``parts``, its subqueries in order."""
 
     __slots__ = ()
 
@@ -82,26 +86,28 @@ class RolePattern(Pattern):
 
 @record(frozen=True)
 class Join(Query):
-    left: Query
-    right: Query
+    parts: tuple[Query, ...]
+    __post_init__ = flatten
 
 
 @record(frozen=True)
 class Union(Query):
-    left: Query
-    right: Query
+    parts: tuple[Query, ...]
+    __post_init__ = flatten
 
 
 @record(frozen=True)
 class Minus(Query):
     left: Query
     right: Query
+    parts = property(attrgetter("left", "right"))
 
 
 @record(frozen=True)
 class Optional(Query):
     left: Query
     right: Query
+    parts = property(attrgetter("left", "right"))
 
 
 def _pattern_elems(p: Pattern) -> tuple[PatternElem, ...]:
@@ -114,19 +120,13 @@ def query_vars(q: Query) -> frozenset[Var]:
     """All variables occurring syntactically in the query."""
     if isinstance(q, Pattern):
         return frozenset(e for e in _pattern_elems(q) if isinstance(e, Var))
-    assert isinstance(q, (Join, Union, Minus, Optional))
-    return query_vars(q.left) | query_vars(q.right)
+    return frozenset().union(*[query_vars(p) for p in q.parts])
 
 
-def _splices_in(q: Query) -> Iterator[str]:
+def _splices_in(q: Query) -> list[str]:
     if isinstance(q, Pattern):
-        for e in _pattern_elems(q):
-            if isinstance(e, Splice):
-                yield e.name
-    else:
-        assert isinstance(q, (Join, Union, Minus, Optional))
-        yield from _splices_in(q.left)
-        yield from _splices_in(q.right)
+        return [e.name for e in _pattern_elems(q) if isinstance(e, Splice)]
+    return [name for p in q.parts for name in _splices_in(p)]
 
 
 def substitute_splices(q: Query, values: Mapping[str, Iri]) -> Query:
@@ -143,9 +143,8 @@ def substitute_splices(q: Query, values: Mapping[str, Iri]) -> Query:
         return ConceptPattern(fill(q.elem), q.concept)
     if isinstance(q, RolePattern):
         return RolePattern(fill(q.subject), q.role, fill(q.obj))
-    assert isinstance(q, (Join, Union, Minus, Optional))
-    return type(q)(substitute_splices(q.left, values),
-                   substitute_splices(q.right, values))
+    parts = tuple([substitute_splices(p, values) for p in q.parts])
+    return type(q)(parts) if isinstance(q, (Join, Union)) else type(q)(*parts)
 
 
 @record(frozen=True)
@@ -240,7 +239,7 @@ class _QueryParser:
 
     def group(self) -> Query:
         ts = self.ts
-        acc: Query | None = None
+        parts: list[Query] = []  # joined; MINUS and OPTIONAL take them all
         while True:
             if ts.at_punct("."):
                 ts.next()
@@ -250,29 +249,28 @@ class _QueryParser:
             tok = ts.peek()
             if ts.at_word("MINUS") or ts.at_word("OPTIONAL"):
                 keyword = ts.next().text
-                ts.take_punct("{")
-                sub = self.group()
-                ts.take_punct("}")
-                if acc is None:
+                sub = self.braced()
+                if not parts:
                     raise ParseError(tok.line, tok.column,
                                      f"{keyword} cannot start a group")
-                acc = Minus(acc, sub) if keyword == "MINUS" else Optional(acc, sub)
-                continue
-            if ts.at_punct("{"):
-                ts.next()
-                left = self.group()
-                ts.take_punct("}")
-                ts.take_word("UNION")
-                ts.take_punct("{")
-                right = self.group()
-                ts.take_punct("}")
-                element: Query = Union(left, right)
+                parts = [(Minus if keyword == "MINUS" else Optional)(_join(parts), sub)]
+            elif ts.at_punct("{"):
+                branches = [self.braced()]
+                while len(branches) < 2 or ts.at_word("UNION"):
+                    ts.take_word("UNION")
+                    branches.append(self.braced())
+                parts.append(Union(tuple(branches)))
             else:
-                element = self.triple()
-            acc = element if acc is None else Join(acc, element)
-        if acc is None:
+                parts.append(self.triple())
+        if not parts:
             raise ts.error("empty group")
-        return acc
+        return _join(parts)
+
+    def braced(self) -> Query:
+        self.ts.take_punct("{")
+        q = self.group()
+        self.ts.take_punct("}")
+        return q
 
     def triple(self) -> Pattern:
         ts = self.ts
@@ -317,6 +315,10 @@ class _QueryParser:
         raise ts.error("expected a concept IRI or [ concept expression ]")
 
 
+def _join(parts: list[Query]) -> Query:
+    return parts[0] if len(parts) == 1 else Join(tuple(parts))
+
+
 def parse_query(text: str, prefixes: Mapping[str, str],
                 line: int = 1, column: int = 1) -> SelectQuery:
     """Parse a SELECT query; ``line``/``column`` offset positions when the
@@ -354,9 +356,9 @@ def satisfies(r: Reasoner, q: Query, mu: SolutionMapping) -> bool:
     if isinstance(q, Pattern):
         return _pattern_holds(r, q, mu)
     if isinstance(q, Join):
-        return satisfies(r, q.left, mu) and satisfies(r, q.right, mu)
+        return all(satisfies(r, p, mu) for p in q.parts)
     if isinstance(q, Union):
-        return satisfies(r, q.left, mu) or satisfies(r, q.right, mu)
+        return any(satisfies(r, p, mu) for p in q.parts)
     if isinstance(q, Minus):
         return satisfies(r, q.left, mu) and not satisfies(r, q.right, mu)
     if isinstance(q, Optional):

@@ -132,7 +132,7 @@ class Reasoner:
         """True iff every model makes ext(c) a subset of ext(d)."""
         if isinstance(c, Nominal):
             return self.entails_instance(c.obj, d)
-        probe = And(c, Not(d))
+        probe = And((c, Not(d)))
         cached = self._sat.get(probe)
         if cached is not None:
             return not cached.satisfiable

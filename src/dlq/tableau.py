@@ -5,10 +5,12 @@ roles and single-object nominals:
 
 * every concept is kept in negation normal form;
 * the T-Box is absorbed into lazy unfolding (Horrocks and Tobies, KR 2000;
-  role absorption after Tsarkov and Horrocks, DL 2004): C1 ⊔ C2 ⊑ D splits
-  into C1 ⊑ D and C2 ⊑ D; A ⊓ X ⊑ D with A atomic becomes the trigger
-  A ↦ nnf(¬X ⊔ D), added to a label whenever A enters it; failing an
-  atomic conjunct, ∃r.F ⊓ X ⊑ D becomes the equivalent
+  role absorption after Tsarkov and Horrocks, DL 2004): C1 ⊔ … ⊔ Cn ⊑ D
+  splits into one inclusion per operand of the ⊔; a left-hand side's
+  conjuncts are its ⊓'s operands but ⊤, and X stands for all but one.
+  A ⊓ X ⊑ D with A atomic becomes the trigger A ↦ nnf(¬X ⊔ D), one flat ⊔
+  of the negated conjuncts and D, added to a label whenever A enters it;
+  failing an atomic conjunct, ∃r.F ⊓ X ⊑ D becomes the equivalent
   F ⊑ ∀inv(r).nnf(¬X ⊔ D) and is absorbed in turn, so ∃r.⊤ ⊑ D ends as
   the deterministic ∀inv(r).D; ⊤ ⊑ D internalises D.  Only what none of
   these rules takes stays internalised as the disjunction nnf(¬C ⊔ D).
@@ -38,10 +40,11 @@ concept to a label closes the graph under them from a worklist, and a new
 edge carries the ∀s of both its endpoints across, so no rule sweep waits
 for them.  One sweep over the labels (lowest node id first; within a
 label, insertion order) finds the first nominal merge, else the first
-disjunction with at most one non-clashing side, which is applied without a
-choice point, else the first real choice point.  Only when it finds no
-merge or decided disjunction does the ∃ rule run, so successors are
-generated before the first real choice point.
+disjunction with at most one non-clashing operand, which is applied
+without a choice point, else the first real choice point, one side per
+viable operand.  Only when it finds no merge or decided disjunction does
+the ∃ rule run, so successors are generated before the first real choice
+point.
 
 The ∃ rule reads an agenda, not the labels.  An ∃ joins the agenda, with
 its node, when it enters a label.  The rule expands the first unwitnessed
@@ -65,8 +68,9 @@ needs it.
 
 Real choice points are explored depth-first from an explicit stack of
 pending graphs (so the number of choice points is not bounded by Python's
-recursion limit), first choice first.  Labels and edge role sets keep
-insertion order, so runs are reproducible whatever the hash seed.
+recursion limit), first choice first, copying the graph for a side only
+when it is tried.  Labels and edge role sets keep insertion order, so runs
+are reproducible whatever the hash seed.
 
 From a clash-free completed graph a finite model is read off directly:
 blocked nodes are dropped and edges into them are redirected to their
@@ -178,7 +182,8 @@ class _Graph:
                     return
                 todo.extend((node, d) for d in self.unfolding.get(c, ()))
             elif isinstance(c, And):
-                todo += ((node, c.left), (node, c.right))
+                for d in c.operands:
+                    todo.append((node, d))
             elif isinstance(c, Forall):
                 todo.extend((y, c.filler) for y in self.neighbors(node, c.role))
             elif isinstance(c, Exists):
@@ -272,9 +277,10 @@ def _absorb(gcis: Iterable[SubClass]) -> tuple[dict[Concept, tuple[Concept, ...]
     # on a left-hand side takes one step per quantifier, not one frame.
     for sub, sup in pending:
         if isinstance(sub, Or):
-            pending += [(sub.left, sup), (sub.right, sup)]
+            pending += [(d, sup) for d in sub.operands]
             continue
-        conjuncts = _conjuncts(sub)
+        conjuncts = [c for c in (sub.operands if isinstance(sub, And) else (sub,))
+                     if not isinstance(c, Top)]
         if any(isinstance(c, Bottom) for c in conjuncts) or isinstance(sup, Top):
             continue
         atom = next((i for i, c in enumerate(conjuncts) if isinstance(c, Atomic)), None)
@@ -295,30 +301,13 @@ def _absorb(gcis: Iterable[SubClass]) -> tuple[dict[Concept, tuple[Concept, ...]
     return ({a: tuple(cs) for a, cs in unfolding.items()}, tuple(internalized))
 
 
-def _conjuncts(c: Concept) -> list[Concept]:
-    """The conjuncts of an NNF concept, nested ∧ flattened and ⊤ dropped."""
-    out: list[Concept] = []
-    stack = [c]
-    while stack:
-        c = stack.pop()
-        if isinstance(c, And):
-            stack += [c.right, c.left]
-        elif not isinstance(c, Top):
-            out.append(c)
-    return out
-
-
 def _implies(conjuncts: list[Concept], sup: Concept) -> Concept:
     """nnf(¬(⊓ conjuncts) ⊔ sup) for an NNF ``sup``: ``sup`` itself when
     there is no conjunct, and no disjunction with ⊥."""
     if not conjuncts:
         return sup
-    x = conjuncts[0]
-    for c in conjuncts[1:]:
-        x = And(x, c)
-    if isinstance(sup, Bottom):
-        return negated(x)
-    return Or(negated(x), sup)
+    x = negated(conjuncts[0] if len(conjuncts) == 1 else And(tuple(conjuncts)))
+    return x if isinstance(sup, Bottom) else Or((x, sup))
 
 
 class Tableau:
@@ -347,7 +336,7 @@ class Tableau:
         seen, todo = {c}, [c]
         while todo:
             for e in self.unfolding.get(todo.pop(), ()):
-                for a in _conjuncts(e):
+                for a in e.operands if isinstance(e, And) else (e,):
                     if isinstance(a, Atomic) and a not in seen:
                         seen.add(a)
                         todo.append(a)
@@ -405,22 +394,23 @@ class Tableau:
         # choice point (unfolding, ⊓ and ∀ never wait), and successors are
         # generated before branching, so every branch starts from a fully
         # propagated graph.  Disjunctions with at most one non-clashing
-        # side never branch.  A choice point pushes one graph per choice,
-        # the first on top; the last choice takes the graph itself, the
-        # others a copy.
-        pending = [graph]
+        # side never branch.  A choice point waits as (graph, node, choices,
+        # next index); each choice but the last copies the graph when it is
+        # tried, and the last takes the graph itself.
+        pending = [(graph, None, (), 0)]
         while pending:
-            graph = pending.pop()
+            graph, node, choices, i = pending.pop()
+            if i + 1 < len(choices):
+                pending.append((graph, node, choices, i + 1))
+                graph = graph.copy()
+            if choices:
+                graph.add(node, choices[i])
             branch = self._saturate(graph)
             if graph.clashed:
                 continue
             if branch is None:
                 return graph
-            node, choices = branch
-            attempts = [graph.copy() for _ in choices[1:]] + [graph]
-            for attempt, choice in zip(attempts, choices):
-                attempt.add(node, choice)
-            pending.extend(reversed(attempts))
+            pending.append((graph, *branch, 0))
         return None
 
     def _saturate(self, graph: _Graph) -> Optional[tuple[int, list[Concept]]]:
@@ -452,8 +442,8 @@ class Tableau:
                     if first != node:
                         return (first, node), None
                 elif (isinstance(c, Or) and decided is None
-                      and c.left not in label and c.right not in label):
-                    viable = [d for d in (c.left, c.right)
+                      and label.keys().isdisjoint(c.operands)):
+                    viable = [d for d in c.operands
                               if not isinstance(d, Bottom) and self._neg(d) not in label]
                     if len(viable) <= 1:
                         decided = (node, viable)

@@ -136,12 +136,12 @@ class InterpSpace:
             return list(self._concept_masks[c.iri])
         if isinstance(c, Not):
             return [full ^ m for m in self.eval(c.operand)]
-        if isinstance(c, And):
-            left, right = self.eval(c.left), self.eval(c.right)
-            return [a & b for a, b in zip(left, right)]
-        if isinstance(c, Or):
-            left, right = self.eval(c.left), self.eval(c.right)
-            return [a | b for a, b in zip(left, right)]
+        if isinstance(c, (And, Or)):
+            out = self.eval(c.operands[0])
+            for x in c.operands[1:]:
+                masks = self.eval(x)
+                out = [a & b if isinstance(c, And) else a | b for a, b in zip(out, masks)]
+            return out
         if isinstance(c, (Exists, Forall)):
             filler = self.eval(c.filler)
             pair = self._role_masks[c.role.iri]
@@ -205,13 +205,25 @@ def concept_strategy(with_nominals: bool = False) -> st.SearchStrategy[Concept]:
         base,
         lambda inner: st.one_of(
             st.builds(Not, inner),
-            st.builds(And, inner, inner),
-            st.builds(Or, inner, inner),
+            st.builds(And, st.tuples(inner, inner) | st.tuples(inner, inner, inner)),
+            st.builds(Or, st.tuples(inner, inner) | st.tuples(inner, inner, inner)),
             st.builds(Exists, role, inner),
             st.builds(Forall, role, inner),
         ),
         max_leaves=12,
     )
+
+
+def concept_depth(c: Concept) -> int:
+    """Constructor nesting depth: an atom has depth 1, and a chain of ``and``
+    or ``or`` is one level however many operands it has."""
+    if isinstance(c, Not):
+        return 1 + concept_depth(c.operand)
+    if isinstance(c, (And, Or)):
+        return 1 + max(concept_depth(x) for x in c.operands)
+    if isinstance(c, (Exists, Forall)):
+        return 1 + concept_depth(c.filler)
+    return 1
 
 
 # --- seeded random generators ---------------------------------------------------
@@ -235,11 +247,11 @@ def _random_simple_concept(rng: random.Random, atoms: list[Concept],
     if kind == 0:
         return Not(_random_simple_concept(rng, atoms, roles, depth - 1))
     if kind == 1:
-        return And(_random_simple_concept(rng, atoms, roles, depth - 1),
-                   _random_simple_concept(rng, atoms, roles, depth - 1))
+        return And((_random_simple_concept(rng, atoms, roles, depth - 1),
+                   _random_simple_concept(rng, atoms, roles, depth - 1)))
     if kind == 2:
-        return Or(_random_simple_concept(rng, atoms, roles, depth - 1),
-                  _random_simple_concept(rng, atoms, roles, depth - 1))
+        return Or((_random_simple_concept(rng, atoms, roles, depth - 1),
+                  _random_simple_concept(rng, atoms, roles, depth - 1)))
     role = rng.choice(roles)
     if rng.random() < 0.3:
         role = role.inverted()
@@ -285,9 +297,9 @@ def certainly_bound(q: Query) -> frozenset[Var]:
     if isinstance(q, Pattern):
         return query_vars(q)
     if isinstance(q, Join):
-        return certainly_bound(q.left) | certainly_bound(q.right)
+        return frozenset().union(*[certainly_bound(p) for p in q.parts])
     if isinstance(q, Union):
-        return certainly_bound(q.left) & certainly_bound(q.right)
+        return frozenset.intersection(*[certainly_bound(p) for p in q.parts])
     assert isinstance(q, (Minus, Optional))
     return certainly_bound(q.left)
 
@@ -298,11 +310,16 @@ def _sharing_is_guarded(q: Query) -> bool:
     not sound over-approximations (a known limit of the inference rules)."""
     if isinstance(q, Pattern):
         return True
-    if not (_sharing_is_guarded(q.left) and _sharing_is_guarded(q.right)):
+    parts = q.parts
+    if not all(_sharing_is_guarded(p) for p in parts):
         return False
     if isinstance(q, (Join, Optional)):
-        shared = query_vars(q.left) & query_vars(q.right)
-        return shared <= (certainly_bound(q.left) & certainly_bound(q.right))
+        # Each part against the join of the parts before it.
+        seen, bound = query_vars(parts[0]), certainly_bound(parts[0])
+        for p in parts[1:]:
+            if not seen & query_vars(p) <= bound & certainly_bound(p):
+                return False
+            seen, bound = seen | query_vars(p), bound | certainly_bound(p)
     return True
 
 
@@ -331,7 +348,8 @@ def random_query(rng: random.Random, limits: GenLimits = GenLimits()) -> Query:
         if depth == 0 or rng.random() < 0.4:
             return pattern()
         op = rng.choice([Join, Union, Minus, Optional])
-        return op(build(depth - 1), build(depth - 1))
+        left, right = build(depth - 1), build(depth - 1)
+        return op((left, right)) if op in (Join, Union) else op(left, right)
 
     for _ in range(200):
         q = build(limits.depth)

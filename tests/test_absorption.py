@@ -164,8 +164,8 @@ _concepts = st.recursive(
               st.just(TOP), st.just(BOTTOM)),
     lambda inner: st.one_of(
         st.builds(Not, inner),
-        st.builds(And, inner, inner),
-        st.builds(Or, inner, inner),
+        st.builds(lambda x, y: And((x, y)), inner, inner),
+        st.builds(lambda x, y: Or((x, y)), inner, inner),
         st.builds(Exists, _roles, inner),
         st.builds(Forall, _roles, inner),
     ),
@@ -173,8 +173,8 @@ _concepts = st.recursive(
 )
 _axioms = st.one_of(
     st.builds(lambda a, c: (Equivalent(a, c),), _atoms, _concepts),
-    st.builds(lambda a, x, d: (SubClass(And(x, a), d),), _atoms, _concepts, _concepts),
-    st.builds(lambda x, y, d: (SubClass(Or(x, y), d),), _concepts, _concepts, _concepts),
+    st.builds(lambda a, x, d: (SubClass(And((x, a)), d),), _atoms, _concepts, _concepts),
+    st.builds(lambda x, y, d: (SubClass(Or((x, y)), d),), _concepts, _concepts, _concepts),
     st.builds(lambda r, f, d: (SubClass(Exists(r, f), d),), _roles, _concepts, _concepts),
     st.builds(lambda r, d: (SubClass(Exists(r.inverted(), TOP), d),), _roles, _concepts),
     st.builds(lambda a, b: (SubClass(a, b), SubClass(b, a)), _atoms, _atoms),

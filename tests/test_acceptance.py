@@ -181,7 +181,7 @@ def test_criterion_7_reasoner_properties():
             c = _random_simple_concept(rng, atoms, roles, 2)
             d = _random_simple_concept(rng, atoms, roles, 2)
             assert session.entails_subsumption(c, d) == \
-                (not session.is_satisfiable(And(c, Not(d))).satisfiable)
+                (not session.is_satisfiable(And((c, Not(d)))).satisfiable)
 
         rng = random.Random(504)
         for _ in range(50):

@@ -103,10 +103,21 @@ class TestReason:
 
 
 class TestNesting:
+    # Concepts ``d`` levels deep.  A chain of ``and`` is one level, so the
+    # third nests chains: ``:B and (:B or (:B and ...))``.
     CHAINS = {
         "not": lambda d: "not " * (d - 1) + ":B",
         "some": lambda d: ":r some " * (d - 1) + ":B",
-        "and": lambda d: " and ".join([":B"] * d),
+        "and": lambda d: "".join(f":B {('and', 'or')[i % 2]} (" for i in range(d - 1))
+                         + ":B" + ")" * (d - 1),
+    }
+    # Where level 101 opens: the innermost :B of a not or some chain, and
+    # the first operand of the 100th chain (every chain's operands sit one
+    # level below it).
+    LEVEL_101 = {
+        "not": lambda text: text.index(":B"),
+        "some": lambda text: text.index(":B"),
+        "and": lambda text: [m.start() for m in re.finditer(":B", text)][99],
     }
 
     def _kb(self, tmp_path, line):
@@ -133,11 +144,26 @@ class TestNesting:
 
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     def test_concepts_past_the_depth_limit_are_syntax_errors(self, capsys, tmp_path, chain):
-        line = ":A SubClassOf " + self.CHAINS[chain](101)
+        concept = self.CHAINS[chain](101)
         code, out, err = run(capsys, "reason", "sat", ":A", "--kb",
-                             self._kb(tmp_path, line))
+                             self._kb(tmp_path, ":A SubClassOf " + concept))
+        column = 15 + self.LEVEL_101[chain](concept)
         assert (code, out) == (2, "")
-        assert err == "ERROR E-SYNTAX 2:15\nconcept nested more than 100 levels deep\n"
+        assert err == f"ERROR E-SYNTAX 2:{column}\nconcept nested more than 100 levels deep\n"
+
+    def test_nesting_past_the_stack_gets_the_depth_message_at_level_101(self, capsys):
+        # Refused where level 101 opens, long before the parser's stack
+        # would run out.
+        concept = ":r some (" * 200 + ":B" + ")" * 200
+        code, out, err = run(capsys, "reason", "sat", concept, "--kb", KB)
+        assert (code, out) == (2, "")
+        assert err == (f"ERROR E-SYNTAX 1:{1 + len(':r some (') * 100}\n"
+                       "concept nested more than 100 levels deep\n")
+
+    def test_a_long_flat_chain_is_one_level(self, capsys):
+        code, out, err = run(capsys, "reason", "sat", " and ".join([":Person"] * 101),
+                             "--kb", KB)
+        assert (code, out, err) == (0, "true\n", "")
 
     def test_reasoning_out_of_stack_is_not_a_program_fault(self, capsys, monkeypatch):
         def too_deep(self, c):

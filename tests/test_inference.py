@@ -24,25 +24,33 @@ from dlq.query import (
     Optional,
     RolePattern,
     Splice,
+    Union,
     Var,
     parse_query,
 )
 from dlq.reasoner import Reasoner
-from support import iri, random_kb, random_query
+from support import EX, iri, random_kb, random_query
 
 X, Y = Var("x"), Var("y")
 A, B = Atomic(iri("A")), Atomic(iri("B"))
 R = Role(iri("r"))
 
 
+def _children(c) -> tuple:
+    if isinstance(c, (And, Or)):
+        return c.operands
+    if isinstance(c, Not):
+        return (c.operand,)
+    return (c.filler,) if isinstance(c, (Exists, Forall)) else ()
+
+
 def has_var_refs(c) -> bool:
-    if isinstance(c, VarRef):
-        return True
-    for attr in ("left", "right", "operand", "filler"):
-        child = getattr(c, attr, None)
-        if child is not None and has_var_refs(child):
-            return True
-    return False
+    return isinstance(c, VarRef) or any(has_var_refs(x) for x in _children(c))
+
+
+def size(c) -> int:
+    """The number of nodes of a concept."""
+    return 1 + sum(size(x) for x in _children(c))
 
 
 class TestInferPattern:
@@ -67,19 +75,19 @@ class TestCombine:
     def test_conjunction_on_shared_variable(self):
         left = infer_pattern(RolePattern(Y, R, X))
         right = infer_pattern(ConceptPattern(X, A))
-        phi = combine(left, right, And)
+        phi = combine([left, right], And)
         assert phi == {
             Y: VarRef(R, X),
-            X: And(VarRef(R.inverted(), Y), A),
+            X: And((VarRef(R.inverted(), Y), A)),
         }
 
     def test_disjoint_domains_union_bindings(self):
-        phi = combine(VariableTyping({X: A}), VariableTyping({Y: B}), Or)
+        phi = combine([VariableTyping({X: A}), VariableTyping({Y: B})], Or)
         assert phi == {X: A, Y: B}
 
     def test_no_idempotence_normalisation(self):
-        phi = combine(VariableTyping({X: A}), VariableTyping({X: A}), And)
-        assert phi == {X: And(A, A)}
+        phi = combine([VariableTyping({X: A}), VariableTyping({X: A})], And)
+        assert phi == {X: And((A, A))}
 
 
 class TestInferQuery:
@@ -91,7 +99,7 @@ class TestInferQuery:
     def test_optional_weakens_with_join(self):
         q = Optional(ConceptPattern(X, A),
                      ConceptPattern(X, B))
-        assert infer_query(q) == {X: Or(A, And(A, B))}
+        assert infer_query(q) == {X: Or((A, And((A, B))))}
 
 
 class TestResolveReferences:
@@ -129,10 +137,30 @@ class TestResolveReferences:
 
     def test_concepts_without_references_are_kept_as_they_are(self):
         concept = Forall(R, Not(Exists(R.inverted(), Nominal(iri("o")))))
-        q = Join(ConceptPattern(X, concept),
-                 RolePattern(X, R, iri("o")))
+        q = Join((ConceptPattern(X, concept),
+                 RolePattern(X, R, iri("o"))))
         phi = resolve_references(infer_query(q))
-        assert phi[X].left is concept
+        assert phi[X].operands[0] is concept
+
+    def test_a_key_expanded_once_is_not_expanded_again(self, university_kb, uc):
+        sq = parse_query("SELECT ?x WHERE { ?x :worksFor ?y . ?y :subOrganizationOf ?z . "
+                         "?x :worksFor ?z }", university_kb.prefixes)
+        phi = resolve_references(infer_query(sq.body))
+        # ?z was expanded under ?y, so ?x's own reference to it widens.
+        assert phi[X] == uc(":worksFor some (inv(:worksFor) some Thing and :subOrganizationOf "
+                            "some (inv(:subOrganizationOf) some Thing and inv(:worksFor) some "
+                            "Thing)) and :worksFor some Thing")
+
+    def test_a_clique_types_in_size_polynomial_in_k(self):
+        # Each key's concept expands every other key at most once: about
+        # 2k³ nodes in all, where expanding every simple path of references
+        # grew as k!.
+        k = 8
+        triples = " . ".join(f"?v{i} :r ?v{j}" for i in range(k) for j in range(i + 1, k))
+        sq = parse_query(f"SELECT ?v0 WHERE {{ {triples} }}", {"": EX})
+        phi = resolve_references(infer_query(sq.body))
+        assert len(phi) == k
+        assert sum(size(c) for c in phi.values()) <= 2 * k ** 3
 
     def test_substitution_shortcuts_references(self):
         unresolved = VariableTyping({X: VarRef(R, Y), Y: VarRef(R.inverted(), X)})
@@ -218,6 +246,8 @@ class TestSpliceTyping:
                 return ConceptPattern(f(q.elem), q.concept)
             if isinstance(q, RolePattern):
                 return RolePattern(f(q.subject), q.role, f(q.obj))
+            if isinstance(q, (Join, Union)):
+                return type(q)(tuple(ends(p, f) for p in q.parts))
             return type(q)(ends(q.left, f), ends(q.right, f))
 
         def fresh(s: Splice) -> Var:
@@ -288,18 +318,18 @@ class TestSoundnessBridge:
         from dlq.algebra import eval_algebraic
         from dlq.model import ConceptAssertion, KnowledgeBase
         from dlq.interpretation import denotational_eval
-        from dlq.query import SolutionMapping, Union
+        from dlq.query import SolutionMapping
         C, D, E = Atomic(iri("A")), Atomic(iri("B")), Atomic(iri("C"))
         a, c = iri("o1"), iri("o2")
         kb = KnowledgeBase(abox=(ConceptAssertion(a, C), ConceptAssertion(c, D)))
-        q = Join(ConceptPattern(X, C),
-                 Union(ConceptPattern(Var("z"), D),
-                       ConceptPattern(X, E)))
+        q = Join((ConceptPattern(X, C),
+                 Union((ConceptPattern(Var("z"), D),
+                       ConceptPattern(X, E)))))
         r = Reasoner(kb)
         answers = eval_algebraic(r, q)
         assert answers == denotational_eval(r, q)
         offending = SolutionMapping.of({X: a, Var("z"): c})
         assert offending in answers
         phi = resolve_references(infer_query(q))
-        assert phi[X] == And(C, E)
+        assert phi[X] == And((C, E))
         assert not r.entails_instance(a, phi[X])

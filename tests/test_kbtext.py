@@ -31,9 +31,8 @@ from dlq.model import (
     RoleAssertion,
     SubClass,
     TOP,
-    concept_depth,
 )
-from support import EX, concept_strategy, iri
+from support import EX, concept_depth, concept_strategy, iri
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -46,8 +45,8 @@ class TestParseConcept:
         got = parse_concept(":worksFor some :Organization and :Person", P)
         explicit = parse_concept("(:worksFor some :Organization) and (:Person)", P)
         assert got == explicit
-        assert got == And(Exists(Role(iri("worksFor")), Atomic(iri("Organization"))),
-                          Atomic(iri("Person")))
+        assert got == And((Exists(Role(iri("worksFor")), Atomic(iri("Organization"))),
+                          Atomic(iri("Person"))))
 
     def test_nominal(self):
         assert parse_concept("{:alice}", P) == Nominal(iri("alice"))
@@ -62,7 +61,7 @@ class TestParseConcept:
 
     def test_or_is_loosest(self):
         got = parse_concept(":A and :B or :C", P)
-        assert got == Or(And(A, B), C)
+        assert got == Or((And((A, B)), C))
 
     def test_right_nested_quantifiers(self):
         got = parse_concept(":r some :s only :A", P)
@@ -84,49 +83,96 @@ class TestParseConcept:
 
 @st.composite
 def deep_concepts(draw):
-    """Concepts 95 to 105 levels deep: a spine of unary steps and binary
+    """Concepts 95 to 105 levels deep: a spine of unary steps and chain
     steps with a shallow sibling, read from about one token per level (a
-    ``not`` chain) up to several (quantifiers, parenthesised siblings)."""
+    ``not`` chain) up to several (quantifiers, parenthesised siblings).  A
+    chain step on a chain of its own kind would splice into it, so it takes
+    a ``not`` instead; every step then adds one level."""
     depth = draw(st.integers(95, 105))
     steps = st.sampled_from(["not"]) if draw(st.booleans()) else \
         st.sampled_from(["not", "some", "only", "and", "or", "and-right"])
-    siblings = st.sampled_from([B, TOP, Nominal(iri("o")), Or(B, C),
+    siblings = st.sampled_from([B, TOP, Nominal(iri("o")), Or((B, C)),
                                 Exists(Role(iri("s"), True), Not(C))])
     c = draw(st.sampled_from([A, TOP, BOTTOM, Nominal(iri("o"))]))
     for i in range(depth - 1):
         # No sibling is deeper than the spine under it.
         step = draw(steps if i >= 2 else st.sampled_from(["not", "some", "only"]))
-        if step == "not":
+        chain = Or if step == "or" else And
+        if step == "not" or step in ("and", "or", "and-right") and isinstance(c, chain):
             c = Not(c)
         elif step in ("some", "only"):
             c = (Exists if step == "some" else Forall)(Role(iri("r")), c)
         else:
             sibling = draw(siblings)
-            if step == "and-right":
-                c = And(sibling, c)
-            else:
-                c = (And if step == "and" else Or)(c, sibling)
+            c = chain((sibling, c) if step == "and-right" else (c, sibling))
     assert concept_depth(c) == depth
     return c
+
+
+MARK = Atomic(iri("mark"))
+
+
+def _mark(c, level: int):
+    """``c``, whose root is at ``level``, with the first token of its first
+    node (in text order) at level ``MAX_CONCEPT_DEPTH + 1`` replaced by
+    ``:mark``; None when ``c`` reaches no such level."""
+    if level > MAX_CONCEPT_DEPTH:
+        return _mark_first_token(c)
+    if isinstance(c, Not):
+        inner = _mark(c.operand, level + 1)
+        return None if inner is None else Not(inner)
+    if isinstance(c, (Exists, Forall)):
+        inner = _mark(c.filler, level + 1)
+        return None if inner is None else c.__class__(c.role, inner)
+    if isinstance(c, (And, Or)):
+        for i, x in enumerate(c.operands):
+            inner = _mark(x, level + 1)
+            if inner is not None:
+                return c.__class__(c.operands[:i] + (inner,) + c.operands[i + 1:])
+    return None
+
+
+def _mark_first_token(c):
+    # Same class where the class decides the parentheses; a name, nominal,
+    # ``Thing``, ``Nothing`` or ``not`` is never parenthesised.
+    if isinstance(c, (And, Or)):
+        return c.__class__((_mark_first_token(c.operands[0]),) + c.operands[1:])
+    if isinstance(c, (Exists, Forall)):
+        return c.__class__(Role(MARK.iri), c.filler)
+    return MARK
 
 
 class TestDepthLimit:
     @settings(max_examples=150, deadline=None)
     @given(deep_concepts())
     def test_refused_exactly_past_the_limit(self, c):
+        """Refused at the first token of the first node, in text order, at
+        level 101 (a chain's first token is its first operand's)."""
         text = print_concept(c, P)
         if concept_depth(c) > MAX_CONCEPT_DEPTH:
             with pytest.raises(ParseError) as err:
                 parse_concept(text, P)
-            assert (err.value.line, err.value.column) == (1, 1)
+            column = print_concept(_mark(c, 1), P).index(":mark") + 1
+            assert (err.value.line, err.value.column) == (1, column)
             assert err.value.message == "concept nested more than 100 levels deep"
         else:
             assert parse_concept(text, P) == c
 
+    def test_a_parenthesised_chain_in_a_chain_of_its_kind_adds_no_level(self):
+        for nots in (98, 99):
+            inner = "not " * nots + ":C"
+            for text in (f":A and (:B and {inner})", f"(:A or ({inner} or :B)) or :C"):
+                if nots == 98:
+                    assert concept_depth(parse_concept(text, P)) == 100
+                else:
+                    with pytest.raises(ParseError) as err:
+                        parse_concept(text, P)
+                    assert err.value.column == text.index(":C") + 1
+
     def test_a_long_shallow_concept_is_read(self):
         c = A
         for _ in range(8):
-            c = And(Or(c, B), Or(C, c))
+            c = And((Or((c, B)), Or((C, c))))
         text = print_concept(c, P)
         assert concept_depth(c) == 17 and len(text.split()) > 1000
         assert parse_concept(text, P) == c
@@ -154,7 +200,7 @@ def _iris(kb: KnowledgeBase) -> list:
         elif isinstance(c, Not):
             stack.append(c.operand)
         elif isinstance(c, (And, Or)):
-            stack += [c.left, c.right]
+            stack += c.operands
     return out
 
 
@@ -212,7 +258,7 @@ class TestParseKb:
     def test_disjointness_line(self):
         kb = parse_kb(f"prefix : <{EX}>\n:Person and :Organization SubClassOf Nothing\n")
         assert kb.tbox == (SubClass(
-            And(Atomic(iri("Person")), Atomic(iri("Organization"))), BOTTOM),)
+            And((Atomic(iri("Person")), Atomic(iri("Organization")))), BOTTOM),)
 
     def test_concept_assertion(self):
         kb = parse_kb(f"prefix : <{EX}>\n:alice Type :Chair\n")
@@ -251,7 +297,7 @@ class TestPrintConcept:
         assert print_concept(TOP) == "Thing"
 
     def test_parens_forced_by_precedence(self):
-        assert print_concept(And(A, Or(B, C)), P) == ":A and (:B or :C)"
+        assert print_concept(And((A, Or((B, C)))), P) == ":A and (:B or :C)"
 
     def test_inverse_existential_over_top(self):
         c = Exists(Role(iri("worksFor"), inverse=True), TOP)
@@ -280,7 +326,7 @@ class TestPrintKb:
     def test_round_trip_hand_built(self):
         kb = KnowledgeBase(
             tbox=(SubClass(Exists(Role(iri("r"), True), Nominal(iri("o"))), TOP),
-                  Equivalent(A, Or(B, Not(C)))),
+                  Equivalent(A, Or((B, Not(C))))),
             abox=(ConceptAssertion(iri("o"), Forall(Role(iri("r")), A)),
                   RoleAssertion(iri("o"), Role(iri("r")), iri("o"))),
             prefixes=P,

@@ -107,7 +107,7 @@ class TestSubtype:
 class TestLub:
     def test_concepts_take_union(self, uc):
         got = lub(ConceptType(uc(":Professor")), ConceptType(uc(":ResearchAssistant")))
-        assert got == ConceptType(Or(uc(":Professor"), uc(":ResearchAssistant")))
+        assert got == ConceptType(Or((uc(":Professor"), uc(":ResearchAssistant"))))
 
     def test_identical_types_unchanged(self, uc):
         t = ListType(ConceptType(uc(":Person")))
@@ -116,7 +116,7 @@ class TestLub:
     def test_tuples_take_pointwise_union(self, uc):
         chair, person = ConceptType(uc(":Chair")), ConceptType(uc(":Person"))
         got = lub(TupleType((chair, person)), TupleType((person, person)))
-        assert got == TupleType((ConceptType(Or(chair.concept, person.concept)), person))
+        assert got == TupleType((ConceptType(Or((chair.concept, person.concept))), person))
 
     def test_tuple_arity_mismatch_names_types_with_prefixes(self, uc, university_kb):
         person = ConceptType(uc(":Person"))

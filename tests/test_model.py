@@ -71,7 +71,7 @@ class TestNnf:
         assert nnf(Not(TOP)) == BOTTOM
 
     def test_de_morgan_on_conjunction(self):
-        assert nnf(Not(And(A, B))) == Or(Not(A), Not(B))
+        assert nnf(Not(And((A, B)))) == Or((Not(A), Not(B)))
 
     def test_negated_existential_becomes_universal(self):
         pushed = nnf(Not(Exists(R, A)))
@@ -79,12 +79,14 @@ class TestNnf:
         assert extensions_equal_everywhere(Not(Exists(R, A)), pushed)
 
     def test_negation_only_on_atoms_and_nominals(self):
-        c = Not(Or(Exists(R, And(A, Not(B))), Forall(R, Nominal(iri("o")))))
+        c = Not(Or((Exists(R, And((A, Not(B)))), Forall(R, Nominal(iri("o"))))))
 
         def check(c):
             if isinstance(c, Not):
                 assert isinstance(c.operand, (Atomic, Nominal))
-            for attr in ("left", "right", "operand", "filler"):
+            for child in getattr(c, "operands", ()):
+                check(child)
+            for attr in ("operand", "filler"):
                 child = getattr(c, attr, None)
                 if child is not None:
                     check(child)
@@ -104,11 +106,11 @@ class TestNnf:
             assert nnf(c) is c
 
     def test_rebuilds_only_the_path_to_a_negation(self):
-        kept = Exists(R, And(A, Not(B)))
-        c = And(kept, Not(Or(A, B)))
+        kept = Exists(R, And((A, Not(B))))
+        c = And((kept, Not(Or((A, B)))))
         got = nnf(c)
-        assert got == And(kept, And(Not(A), Not(B)))
-        assert got.left is kept
+        assert got == And((kept, Not(A), Not(B)))
+        assert got.operands[0] is kept
 
     @settings(max_examples=40, deadline=None)
     @given(concept_strategy())
@@ -119,16 +121,17 @@ class TestNnf:
 def _in_nnf(c) -> bool:
     if isinstance(c, Not):
         return isinstance(c.operand, (Atomic, Nominal))
-    return all(_in_nnf(getattr(c, attr)) for attr in ("left", "right", "filler")
-               if hasattr(c, attr))
+    if isinstance(c, (And, Or)):
+        return all(_in_nnf(x) for x in c.operands)
+    return not isinstance(c, (Exists, Forall)) or _in_nnf(c.filler)
 
 
 class TestStructuralEquality:
     def test_identical_trees(self):
-        assert And(A, B) == And(A, B)
+        assert And((A, B)) == And((A, B))
 
     def test_no_commutativity(self):
-        assert And(A, B) != And(B, A)
+        assert And((A, B)) != And((B, A))
 
     def test_double_negation_eliminated_by_nnf(self):
         assert nnf(Not(Not(A))) == A

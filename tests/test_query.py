@@ -45,10 +45,10 @@ class TestParse:
     def test_two_patterns_fold_into_join(self):
         sq = parse_query(
             "SELECT ?x ?y WHERE { ?y :worksFor ?x . ?x a :ResearchGroup }", P)
-        assert sq.body == Join(
+        assert sq.body == Join((
             RolePattern(Y, Role(iri("worksFor")), X),
             ConceptPattern(X, Atomic(iri("ResearchGroup"))),
-        )
+        ))
 
     def test_unclosed_group_is_a_parse_error(self):
         with pytest.raises(ParseError):
@@ -81,7 +81,7 @@ class TestParse:
         sq = parse_query("SELECT ?x WHERE { ?x a [:A and not :B] }", P)
         pattern = sq.body
         from dlq.model import And, Not
-        assert pattern.concept == And(Atomic(iri("A")), Not(Atomic(iri("B"))))
+        assert pattern.concept == And((Atomic(iri("A")), Not(Atomic(iri("B")))))
 
     def test_ground_triple_rejected(self):
         with pytest.raises(ParseError):
@@ -95,6 +95,44 @@ class TestParse:
         with_dots = parse_query("SELECT ?x WHERE { ?x a :A . ?x a :B }", P)
         without = parse_query("SELECT ?x WHERE { ?x a :A ?x a :B }", P)
         assert with_dots.body == without.body
+
+
+class TestUnionChains:
+    CHAIN = "SELECT ?x ?y WHERE { { ?x a :A } UNION { ?x :r ?y } UNION { ?y a :B } }"
+    NESTED = ["SELECT ?x ?y WHERE { { { ?x a :A } UNION { ?x :r ?y } } UNION { ?y a :B } }",
+              "SELECT ?x ?y WHERE { { ?x a :A } UNION { { ?x :r ?y } UNION { ?y a :B } } }"]
+
+    def test_a_chain_is_one_union(self):
+        a, b = Atomic(iri("A")), Atomic(iri("B"))
+        body = parse_query(self.CHAIN, P).body
+        assert body == Union((ConceptPattern(X, a), RolePattern(X, Role(iri("r")), Y),
+                              ConceptPattern(Y, b)))
+        assert all(parse_query(text, P).body == body for text in self.NESTED)
+
+    def test_a_chain_joins_the_rest_of_its_group(self):
+        sq = parse_query("SELECT ?x WHERE { ?x a :C . { ?x a :A } UNION { ?x a :B } "
+                         "UNION { ?x :r :o1 } . ?x a :B }", P)
+        assert isinstance(sq.body, Join) and len(sq.body.parts) == 3
+        assert len(sq.body.parts[1].parts) == 3
+
+    def test_answers_match_the_nested_form_and_the_oracle(self):
+        rng = random.Random(47)
+        chain = parse_query(self.CHAIN, P).body
+        nested = [Union((Union(chain.parts[:2]), chain.parts[2])),
+                  Union((chain.parts[0], Union(chain.parts[1:])))]
+        for _ in range(15):
+            r = Reasoner(random_kb(rng))
+            answers = eval_algebraic(r, chain)
+            assert answers == denotational_eval(r, chain)
+            for q in nested:
+                assert q == chain and eval_algebraic(r, q) == answers
+
+    def test_a_group_needs_union_after_it(self):
+        text = "SELECT ?x WHERE { { ?x a :A } ?x a :B }"
+        with pytest.raises(ParseError) as err:
+            parse_query(text, P)
+        assert err.value.column == text.index("?x a :B") + 1
+        assert err.value.message == "expected 'UNION', found '?x'"
 
 
 class TestVars:
@@ -179,19 +217,19 @@ class TestDenotationalEval:
             kb = random_kb(rng)
             r = Reasoner(kb)
             a, b = random_query(rng), random_query(rng)
-            assert denotational_eval(r, Union(a, b)) == denotational_eval(r, Union(b, a))
-            assert denotational_eval(r, Join(a, b)) == denotational_eval(r, Join(b, a))
+            assert denotational_eval(r, Union((a, b))) == denotational_eval(r, Union((b, a)))
+            assert denotational_eval(r, Join((a, b))) == denotational_eval(r, Join((b, a)))
 
     def test_monotone_fragment_grows_with_assertions(self):
         rng = random.Random(43)
         grown_axiom = ConceptAssertion(iri("o1"), Atomic(iri("A")))
         for _ in range(15):
             kb = random_kb(rng)
-            q = Union(
-                Join(ConceptPattern(X, Atomic(iri("A"))),
-                     RolePattern(X, Role(iri("r")), Y)),
+            q = Union((
+                Join((ConceptPattern(X, Atomic(iri("A"))),
+                     RolePattern(X, Role(iri("r")), Y))),
                 ConceptPattern(Y, Atomic(iri("B"))),
-            )
+            ))
             before = denotational_eval(Reasoner(kb), q)
             after = denotational_eval(Reasoner(kb.extended(grown_axiom)), q)
             assert before <= after

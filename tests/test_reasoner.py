@@ -75,7 +75,7 @@ class TestConsistency:
         # 300 independent disjunctions nest 300 choice points; the search
         # must not spend a Python frame on each of them.
         kb = KnowledgeBase(abox=tuple(
-            ConceptAssertion(iri(f"o{i}"), Or(Atomic(iri(f"A{i}")), Atomic(iri(f"B{i}"))))
+            ConceptAssertion(iri(f"o{i}"), Or((Atomic(iri(f"A{i}")), Atomic(iri(f"B{i}")))))
             for i in range(300)))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_stack_depth() + 100)
@@ -116,6 +116,19 @@ class TestSatisfiability:
         assert bounded_model_search(kb, Not(Nominal(iri("zed"))), 3) is None
         assert not r.is_satisfiable(Not(Nominal(iri("zed")))).satisfiable
         assert r.entails_instance(iri("o1"), Nominal(iri("zed")))
+
+
+    def test_a_choice_point_copies_the_graph_only_for_the_sides_it_tries(self, monkeypatch):
+        copies = []
+        copy = _Graph.copy
+        monkeypatch.setattr(_Graph, "copy", lambda g: copies.append(g) or copy(g))
+        atoms = [Atomic(iri(f"A{i}")) for i in range(10)]
+        # One ten-way choice point: the sides A0 to A4 clash once tried and
+        # A5 holds, so six sides are tried and A6 to A9 never copied.
+        kb = KnowledgeBase(tbox=tuple(SubClass(a, BOTTOM) for a in atoms[:5]))
+        graph = Tableau(kb).run(Or(tuple(atoms)))
+        assert graph is not None and atoms[5] in graph.labels[0]
+        assert len(copies) == 6
 
 
 class TestSubsumption:
@@ -488,7 +501,7 @@ class TestProperties:
             c = _random_simple_concept(rng, atoms, roles, 2)
             d = _random_simple_concept(rng, atoms, roles, 2)
             assert r.entails_subsumption(c, d) == \
-                (not r.is_satisfiable(And(c, Not(d))).satisfiable)
+                (not r.is_satisfiable(And((c, Not(d)))).satisfiable)
 
     def test_subsumption_reflexive_and_transitive(self):
         rng = random.Random(19)
@@ -549,9 +562,9 @@ class TestProperties:
             for c, d in pairs:
                 before = len(runs)
                 answer = r.entails_subsumption(c, d)
-                if not answer and len(runs) == before and And(c, Not(d)) not in asked:
+                if not answer and len(runs) == before and And((c, Not(d))) not in asked:
                     held_refuted += 1
-                assert answer == (not Reasoner(kb).is_satisfiable(And(c, Not(d))).satisfiable)
+                assert answer == (not Reasoner(kb).is_satisfiable(And((c, Not(d)))).satisfiable)
         assert held_refuted > 150
 
     def test_a_subsumption_builds_no_model(self, monkeypatch):
@@ -585,7 +598,7 @@ class TestProperties:
 
         _forbid(monkeypatch, "run")
         for r, c, d in subsumptions:
-            assert not r.is_satisfiable(And(c, Not(d))).satisfiable
+            assert not r.is_satisfiable(And((c, Not(d)))).satisfiable
         assert len(subsumptions) > 40
 
     def test_a_nominal_subsumption_is_an_instance_check(self):
@@ -603,7 +616,7 @@ class TestProperties:
                     answer = r.entails_subsumption(Nominal(a), d)
                     assert answer == Reasoner(kb).entails_instance(a, d)
                     assert answer == (not Reasoner(kb).is_satisfiable(
-                        And(Nominal(a), Not(d))).satisfiable)
+                        And((Nominal(a), Not(d)))).satisfiable)
                     answers.append(answer)
         assert answers.count(True) > 100 and answers.count(False) > 100
 
@@ -693,5 +706,5 @@ class TestProperties:
             for c in atoms:
                 for d in tableau.told_subsumers(c) - {c}:
                     told += 1
-                    assert not Reasoner(kb).is_satisfiable(And(c, Not(d))).satisfiable
+                    assert not Reasoner(kb).is_satisfiable(And((c, Not(d)))).satisfiable
         assert told > 30

@@ -79,7 +79,7 @@ PATTERN = ConceptPattern(X, A)
     (lambda: Iri("http://x/o"), ("http://x/o",)),
     (lambda: Role(OBJ, True), (OBJ, True)),
     (lambda: Exists(R, Nominal(OBJ)), (R, Nominal(OBJ))),
-    (lambda: Join(PATTERN, PATTERN), (PATTERN, PATTERN)),
+    (lambda: Join((PATTERN, PATTERN)), ((PATTERN, PATTERN),)),
     (lambda: ConceptPattern(X, A), (X, A)),
     (lambda: SolutionMapping(((X, OBJ),)), (((X, OBJ),),)),
 ], ids=["Iri", "Role", "Exists", "Join", "ConceptPattern", "SolutionMapping"])
@@ -94,7 +94,7 @@ def test_a_value_record_stores_its_field_tuple_hash_on_first_use(make, values):
 
 def test_no_record_instance_has_a_dict_except_a_term():
     records = [
-        Exists(R, A), TOP, Join(PATTERN, PATTERN), PATTERN,
+        Exists(R, A), TOP, Join((PATTERN, PATTERN)), PATTERN,
         SelectQuery.build((X,), PATTERN), KnowledgeBase(),
         Interpretation(frozenset(), {}, {}, {}), SatResult(True),
         Valid({}, {}), ConceptType(A), BOOL, IriVal(OBJ),
@@ -107,9 +107,9 @@ def test_no_record_instance_has_a_dict_except_a_term():
 
 class TestConceptNode:
     def test_equality_is_not_implemented_across_classes(self):
-        assert And(A, A).__eq__(Or(A, A)) is NotImplemented
-        assert And(A, A) != Or(A, A)
-        assert repr(And(A, A)) == f"And(left={A!r}, right={A!r})"
+        assert And((A, A)).__eq__(Or((A, A))) is NotImplemented
+        assert And((A, A)) != Or((A, A))
+        assert repr(And((A, A))) == f"And(operands={(A, A)!r})"
 
     def test_frozen(self):
         with pytest.raises(FrozenInstanceError):

@@ -16,6 +16,7 @@ import time
 
 import dlq.reasoner
 from dlq.algebra import eval_algebraic, project
+from dlq.cli import main as cli_main
 from dlq.kbtext import parse_kb
 from dlq.query import parse_query
 from dlq.reasoner import Reasoner
@@ -81,3 +82,51 @@ def test_consistency_run_computes_blocking_at_most_once_per_anonymous_node(monke
     monkeypatch.setattr(_Graph, "new_node", counted_new_node)
     assert Tableau(_worked_example_kb()).run() is not None
     assert calls["blocking"] <= calls["anonymous"]
+
+
+class TestFlatInput:
+    """Long flat input through the command line: a chain of ``and``, a
+    group's triples and a UNION chain are one node each, so their length
+    is neither nesting depth nor Python stack.  Each case takes well under
+    a second on a 2-core x86 VM."""
+
+    BUDGET_S = 20.0
+    KB = str(FIXTURES / "university.kb")
+
+    def _run(self, capsys, *argv):
+        start = time.perf_counter()
+        code = cli_main([*argv, "--kb", self.KB])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert elapsed < self.BUDGET_S
+        return out
+
+    def test_5000_conjuncts(self, capsys):
+        atoms = [f":C{i}" for i in range(4998)]
+        assert self._run(capsys, "reason", "sat",
+                         " and ".join(atoms + [":Person", ":Employee"])) == "true\n"
+        assert self._run(capsys, "reason", "sat",
+                         " and ".join(atoms + [":Person", ":Organization"])) == "false\n"
+
+    def test_5000_triples_over_two_variables(self, capsys):
+        pair = ["?y :worksFor ?x", "?x a :ResearchGroup"]
+        query = "SELECT ?x ?y WHERE { " + " . ".join(pair * 2500) + " }"
+        assert self._run(capsys, "query", "run", query) == "?x         ?y\n:softlang  :bob\n"
+        # The first reference to each variable expands; the others widen.
+        works = " and ".join([":worksFor some Thing"] * 2500)
+        x = [f"inv(:worksFor) some ({works})", ":ResearchGroup"] \
+            + ["inv(:worksFor) some Thing", ":ResearchGroup"] * 2499
+        back = " and ".join(["inv(:worksFor) some Thing", ":ResearchGroup"] * 2500)
+        y = [f":worksFor some ({back})"] + [":worksFor some Thing"] * 2499
+        assert self._run(capsys, "query", "type", query) == (
+            f"?x: {' and '.join(x)}\n?y: {' and '.join(y)}\n")
+
+    def test_a_50_way_union(self, capsys):
+        classes = [":Person", ":Organization", ":ResearchGroup", ":Chair", ":Department"]
+        branches = [f"{{ ?x a {classes[i % 5]} }}" for i in range(50)]
+        query = "SELECT ?x WHERE { " + " UNION ".join(branches) + " }"
+        assert self._run(capsys, "query", "run", query) == (
+            "?x\n:alice\n:bob\n:softlang\n")
+        assert self._run(capsys, "query", "type", query) == (
+            f"?x: {' or '.join(classes * 10)}\n")

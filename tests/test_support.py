@@ -75,7 +75,7 @@ def test_packed_oracle_separates_inequivalent_concepts():
     a, b = Atomic(iri("A")), Atomic(iri("B"))
     r = Role(iri("r"))
     space = InterpSpace([iri("A"), iri("B")], [iri("r")], 2)
-    assert space.equivalent(And(a, b), And(b, a))
+    assert space.equivalent(And((a, b)), And((b, a)))
     assert space.equivalent(Not(Exists(r, a)), Forall(r, Not(a)))
-    assert not space.equivalent(Exists(r, And(a, b)), And(Exists(r, a), Exists(r, b)))
-    assert not space.equivalent(a, Or(a, b))
+    assert not space.equivalent(Exists(r, And((a, b))), And((Exists(r, a), Exists(r, b))))
+    assert not space.equivalent(a, Or((a, b)))
