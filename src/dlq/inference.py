@@ -137,11 +137,13 @@ def resolve_references(
 ) -> VariableTyping:
     """Expand every reference, per key, against the original typing.
 
-    A key's expansion walks depth-first, operands in order, and keeps one
+    A key's expansion walks depth-first, operands in order, and keeps a
     set of the keys it expanded, itself included; a reference to one of them
-    widens to ``∃r.⊤``, which only weakens the type.  So each key is expanded
-    at most once per resolved concept: resolution terminates on cycles, and
-    a k-clique gives O(k²) per key, not O(k!).  ``substitutions``
+    widens to ``∃r.⊤``, which only weakens the type.  Each side of a
+    disjunction starts from its own copy of the set, so one side's
+    expansions do not weaken another's.  Within a conjunction each key is
+    expanded at most once: resolution terminates on cycles, and a k-clique
+    (no disjunction) gives O(k²) per key, not O(k!).  ``substitutions``
     short-circuits chosen splices to a fixed concept (strict-mode
     narrowing) and replaces their own entries.
     """
@@ -157,8 +159,10 @@ def resolve_references(
             return Exists(c.role, expand(phi[c.var], seen))
         # References sit only in the conjunctions and disjunctions that
         # ``infer_pattern`` and ``combine`` build.
-        if isinstance(c, (And, Or)):
-            return type(c)(tuple([expand(x, seen) for x in c.operands]))
+        if isinstance(c, And):
+            return And(tuple([expand(x, seen) for x in c.operands]))
+        if isinstance(c, Or):
+            return Or(tuple([expand(x, set(seen)) for x in c.operands]))
         return c
 
     resolved = {

@@ -116,70 +116,67 @@ def read_role(ts: TokenStream, prefixes: Mapping[str, str]) -> Role:
 
 # A name followed by none of these is a whole concept.
 _NAME_GOES_ON = frozenset(("and", "or", "some", "only"))
-# The tokens of a concept other than names, ``and``, ``or`` and parentheses.
-_CONCEPT_TOKENS = frozenset(("not", "some", "only", "inv", "Thing", "Nothing", "{", "}"))
 
 
 def read_concept(ts: TokenStream, prefixes: Mapping[str, str]) -> Concept:
     """Parse one concept expression from the stream (stops at foreign tokens)."""
     if ts.peek().kind in ("PNAME", "IRIREF") and ts.peek(1).text not in _NAME_GOES_ON:
         return _read_atomic(ts, prefixes)  # a lone name: most concepts of a KB
-    return ts.within_stack(_ConceptReader(ts, prefixes).chain, "concept", Or, 1, None)
+    return ts.within_stack(_ConceptReader(ts, prefixes).chain, "concept", Or, 1, None)[0]
+
+
+def _nests(c: Concept, into: type[Concept] | None) -> int:
+    """1 when ``c`` is a chain that stays a node of its own inside a chain
+    of kind ``into``, its operands a level below it; 0 when it splices in
+    or is no chain."""
+    return int(isinstance(c, (And, Or)) and c.__class__ is not into)
 
 
 class _ConceptReader:
-    """Recursive descent over one concept that refuses the first token at
-    level ``MAX_CONCEPT_DEPTH + 1``.  A ``not``, a quantifier or a whole
-    ``and``/``or`` chain is one level (a parenthesised chain inside one of
-    its kind none).  An operand's level shows only at the ``and``/``or``
-    after it, so the reader first scans the concept for where chains start:
-    each part (the concept, or the inside of parentheses) with an ``or``
-    outside parentheses, and each ``or`` operand with such an ``and``.
-    ``into`` is the kind of chain a parenthesised chain would splice into."""
+    """Recursive descent over one concept that refuses a token opening a
+    level past ``MAX_CONCEPT_DEPTH``.  A ``not``, a quantifier or a whole
+    ``and``/``or`` chain is one level, a parenthesised chain inside a chain
+    of its kind none; ``into`` is the kind of chain a chain read there
+    would splice into.  Each method reads at ``level``, the level the text
+    read so far gives, and returns the concept with the deepest level it
+    opened and the first token there.  A chain shows only at the ``and`` or
+    ``or`` after its first operand: that operand then moves down by what
+    the chain adds, and its deepest token is refused if it is now past the
+    limit."""
 
     def __init__(self, ts: TokenStream, prefixes: Mapping[str, str]) -> None:
         self.ts, self.prefixes = ts, prefixes
-        self.ors: set[int] = set()
-        self.ands: set[int] = set()
-        tokens = ts.tokens
-        parts = [[ts.position, ts.position]]  # [part, its current ``or`` operand]
-        for at in range(ts.position + 1, len(tokens) + 1):
-            tok = tokens[at - 1]
-            text = tok.text  # only a WORD or PUNCT token can read as below
-            if text == "or":
-                self.ors.add(parts[-1][0])
-                parts[-1][1] = at
-            elif text == "and":
-                self.ands.add(parts[-1][1])
-            elif text == "(":
-                parts.append([at, at])
-            elif text == ")" and len(parts) > 1:
-                parts.pop()
-            elif not (tok.kind == "PNAME" or tok.kind == "IRIREF" or text in _CONCEPT_TOKENS):
-                break
 
-    def opens(self, level: int) -> None:
+    def opens(self, level: int, tok: Token | None = None) -> None:
         if level > MAX_CONCEPT_DEPTH:
-            tok = self.ts.peek()
+            tok = tok or self.ts.peek()
             raise ParseError(tok.line, tok.column,
                              f"concept nested more than {MAX_CONCEPT_DEPTH} levels deep")
 
-    def chain(self, kind: type[Concept], level: int, into: type[Concept] | None) -> Concept:
+    def chain(self, kind: type[Concept], level: int,
+              into: type[Concept] | None) -> tuple[Concept, int, Token]:
         """An ``or`` chain of ``and`` chains (``kind`` Or), or an ``and``
-        chain of quantified concepts, whose first token is at ``level``."""
+        chain of quantified concepts."""
         ts = self.ts
-        if ts.position not in (self.ors if kind is Or else self.ands):
-            return self.chain(And, level, into) if kind is Or else self.qual(level, into)
+        word = "or" if kind is Or else "and"
         operand = self.qual if kind is And else lambda level, into: self.chain(And, level, into)
-        if kind is not into:
-            level += 1
-        operands = [operand(level, kind)]
-        while ts.at_word("or" if kind is Or else "and"):
+        c, deepest, tok = operand(level, into)
+        if not ts.at_word(word):
+            return c, deepest, tok
+        # ``c`` was read as if it stood alone where the chain stands.
+        inner = level + (kind is not into)
+        deepest += inner - level + _nests(c, kind) - _nests(c, into)
+        self.opens(deepest, tok)
+        operands = [c]
+        while ts.at_word(word):
             ts.next()
-            operands.append(operand(level, kind))
-        return kind(tuple(operands))
+            c, d, t = operand(inner, kind)
+            operands.append(c)
+            if d > deepest:
+                deepest, tok = d, t
+        return kind(tuple(operands)), deepest, tok
 
-    def qual(self, level: int, into: type[Concept] | None) -> Concept:
+    def qual(self, level: int, into: type[Concept] | None) -> tuple[Concept, int, Token]:
         # A name followed by a quantifier keyword is a role; otherwise fall
         # through to the unary level, where the same name is an atomic concept.
         ts = self.ts
@@ -194,32 +191,33 @@ class _ConceptReader:
             quant = ts.next()
             if quant.text not in ("some", "only"):
                 raise ParseError(quant.line, quant.column, "expected 'some' or 'only'")
-            filler = self.qual(level + 1, None)
-            return (Exists if quant.text == "some" else Forall)(role, filler)
+            filler, deepest, tok = self.qual(level + 1, None)
+            return (Exists if quant.text == "some" else Forall)(role, filler), deepest, tok
         return self.unary(level, into)
 
-    def unary(self, level: int, into: type[Concept] | None) -> Concept:
+    def unary(self, level: int, into: type[Concept] | None) -> tuple[Concept, int, Token]:
         ts = self.ts
         tok = ts.peek()
         kind, text = tok.kind, tok.text
         if text == "(":
             ts.next()
-            c = self.chain(Or, level, into)
+            read = self.chain(Or, level, into)
             ts.take_punct(")")
-            return c
+            return read
         if kind == "IRIREF" or kind == "PNAME":
             self.opens(level)
-            return _read_atomic(ts, self.prefixes)
+            return _read_atomic(ts, self.prefixes), level, tok
         if text in ("{", "not", "Thing", "Nothing"):  # only a PUNCT or WORD reads so
             self.opens(level)
             ts.next()
             if text == "not":
-                return Not(self.unary(level + 1, None))
+                operand, deepest, at = self.unary(level + 1, None)
+                return Not(operand), deepest, at
             if text == "{":
                 obj = read_name(ts, self.prefixes)
                 ts.take_punct("}")
-                return Nominal(obj)
-            return TOP if text == "Thing" else BOTTOM
+                return Nominal(obj), level, tok
+            return TOP if text == "Thing" else BOTTOM, level, tok
         raise ts.error("expected a concept expression")
 
 

@@ -18,8 +18,8 @@ strings and back-quoted expressions do): the position then moves past its
 last newline.
 
 :class:`TokenStream` keeps the token under the cursor in an attribute that
-``next()`` advances; ``peek(ahead)`` with a look-ahead indexes the token
-list, and so may a reader that scans ahead (the concept reader does).
+``next()`` advances; only ``peek(ahead)`` with a look-ahead indexes the
+token list.
 """
 
 from __future__ import annotations
@@ -118,15 +118,14 @@ class TokenStream:
     """Cursor over a token list that ends in EOF, with lookahead and error
     helpers.
 
-    ``position`` is the index in ``tokens`` of the token under the cursor,
-    so the number of tokens a reader consumed is the difference of two
-    positions.
+    ``position`` is the index of the token under the cursor, so the number
+    of tokens a reader consumed is the difference of two positions.
     ``names`` is free for the parser that owns the stream to memoise what
     it resolved a name token to, by the token's text, for the stream's
     life."""
 
     def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+        self._tokens = tokens
         self.position = 0
         self._current = tokens[0]
         self.names: dict[str, object] = {}
@@ -134,7 +133,7 @@ class TokenStream:
     def peek(self, ahead: int = 0) -> Token:
         if not ahead:
             return self._current
-        tokens = self.tokens
+        tokens = self._tokens
         i = self.position + ahead
         return tokens[i] if i < len(tokens) else tokens[-1]
 
@@ -142,7 +141,7 @@ class TokenStream:
         tok = self._current
         if tok.kind != "EOF":
             self.position += 1
-            self._current = self.tokens[self.position]
+            self._current = self._tokens[self.position]
         return tok
 
     def at_word(self, word: str) -> bool:

@@ -91,6 +91,17 @@ class TestReason:
         assert exc.value.code == 2
         assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, err", [
+        (["reason", "sat", "not :Person :Chair and :Person"],
+         "ERROR E-SYNTAX 1:13\ntrailing input after concept, found ':Chair'\n"),
+        (["reason", "sat", "(:Person :Chair or :Person)"],
+         "ERROR E-SYNTAX 1:10\nexpected ')', found ':Chair'\n"),
+        (["query", "run", "SELECT ?x WHERE { ?x a [ not :Person :Chair and :Person ] }"],
+         "ERROR E-SYNTAX 1:38\nexpected ']', found ':Chair'\n"),
+    ])
+    def test_an_operand_with_trailing_input_is_a_syntax_error(self, capsys, argv, err):
+        assert run(capsys, *argv, "--kb", KB) == (2, "", err)
+
     def test_concept_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "reason", "sat", ":Person and", "--kb", KB)
         assert code == 2

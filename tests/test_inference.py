@@ -151,6 +151,16 @@ class TestResolveReferences:
                             "some (inv(:subOrganizationOf) some Thing and inv(:worksFor) some "
                             "Thing)) and :worksFor some Thing")
 
+    def test_each_side_of_a_union_expands_on_its_own(self, university_kb, uc):
+        # Neither side has a cycle, so each types in full: one side's
+        # expansion of ?g does not widen the other's to ``∃r.⊤``.
+        sq = parse_query("SELECT ?x WHERE { { ?x :worksFor ?g . ?g a :ResearchGroup } UNION "
+                         "{ ?x :worksFor ?g . ?g a :Department } }", university_kb.prefixes)
+        phi = resolve_references(infer_query(sq.body))
+        side = uc(":worksFor some (inv(:worksFor) some Thing and :ResearchGroup "
+                  "or inv(:worksFor) some Thing and :Department)")
+        assert phi[X] == Or((side, side))
+
     def test_a_clique_types_in_size_polynomial_in_k(self):
         # Each key's concept expands every other key at most once: about
         # 2k³ nodes in all, where expanding every simple path of references

@@ -112,24 +112,22 @@ def deep_concepts(draw):
 MARK = Atomic(iri("mark"))
 
 
-def _mark(c, level: int):
-    """``c``, whose root is at ``level``, with the first token of its first
-    node (in text order) at level ``MAX_CONCEPT_DEPTH + 1`` replaced by
-    ``:mark``; None when ``c`` reaches no such level."""
+def _marks(c, level: int):
+    """Copies of ``c``, whose root is at ``level``, one for each node at
+    level ``MAX_CONCEPT_DEPTH + 1`` or deeper, with that node's first token
+    replaced by ``:mark``."""
     if level > MAX_CONCEPT_DEPTH:
-        return _mark_first_token(c)
+        yield _mark_first_token(c)
     if isinstance(c, Not):
-        inner = _mark(c.operand, level + 1)
-        return None if inner is None else Not(inner)
-    if isinstance(c, (Exists, Forall)):
-        inner = _mark(c.filler, level + 1)
-        return None if inner is None else c.__class__(c.role, inner)
-    if isinstance(c, (And, Or)):
+        for inner in _marks(c.operand, level + 1):
+            yield Not(inner)
+    elif isinstance(c, (Exists, Forall)):
+        for inner in _marks(c.filler, level + 1):
+            yield c.__class__(c.role, inner)
+    elif isinstance(c, (And, Or)):
         for i, x in enumerate(c.operands):
-            inner = _mark(x, level + 1)
-            if inner is not None:
-                return c.__class__(c.operands[:i] + (inner,) + c.operands[i + 1:])
-    return None
+            for inner in _marks(x, level + 1):
+                yield c.__class__(c.operands[:i] + (inner,) + c.operands[i + 1:])
 
 
 def _mark_first_token(c):
@@ -145,15 +143,17 @@ def _mark_first_token(c):
 class TestDepthLimit:
     @settings(max_examples=150, deadline=None)
     @given(deep_concepts())
-    def test_refused_exactly_past_the_limit(self, c):
-        """Refused at the first token of the first node, in text order, at
-        level 101 (a chain's first token is its first operand's)."""
+    def test_refused_past_the_limit_at_a_token_there(self, c):
+        """Refused at the first token of a node at level 101 or deeper.  The
+        reader reads a chain's first operand before the ``and``/``or`` that
+        moves it a level down, so the token may open a deeper level than
+        101; it is never before the first token at level 101."""
         text = print_concept(c, P)
         if concept_depth(c) > MAX_CONCEPT_DEPTH:
             with pytest.raises(ParseError) as err:
                 parse_concept(text, P)
-            column = print_concept(_mark(c, 1), P).index(":mark") + 1
-            assert (err.value.line, err.value.column) == (1, column)
+            columns = {print_concept(m, P).index(":mark") + 1 for m in _marks(c, 1)}
+            assert err.value.line == 1 and err.value.column in columns
             assert err.value.message == "concept nested more than 100 levels deep"
         else:
             assert parse_concept(text, P) == c
@@ -163,6 +163,21 @@ class TestDepthLimit:
             inner = "not " * nots + ":C"
             for text in (f":A and (:B and {inner})", f"(:A or ({inner} or :B)) or :C"):
                 if nots == 98:
+                    assert concept_depth(parse_concept(text, P)) == 100
+                else:
+                    with pytest.raises(ParseError) as err:
+                        parse_concept(text, P)
+                    assert err.value.column == text.index(":C") + 1
+
+    def test_a_chain_moves_its_first_operand_down(self):
+        # Read before its ``and``/``or``, a first operand moves one level
+        # down when the chain shows, or two when it is a parenthesised
+        # chain that no longer splices into the chain around it.
+        for nots, shape in ((99, "{} and :B"), (98, "({} or :D) and :B"),
+                            (97, ":A and (({} and :B) or :D)")):
+            for n in (nots - 1, nots):
+                text = shape.format("not " * n + ":C")
+                if n < nots:
                     assert concept_depth(parse_concept(text, P)) == 100
                 else:
                     with pytest.raises(ParseError) as err:
@@ -358,6 +373,25 @@ class TestErrorPositions:
         ":a Fact :r",
         "not",
     ]
+
+    # An operand that more input follows is not a chain: each is the error
+    # at the token after the operand.
+    @pytest.mark.parametrize("text, column, message", [
+        ("not :B :C and :D", 8, "trailing input after concept, found ':C'"),
+        ("(:A :B or :C)", 5, "expected ')', found ':B'"),
+        (":r some :B :C and :D", 12, "trailing input after concept, found ':C'"),
+        ("(not :B :C or :D)", 9, "expected ')', found ':C'"),
+    ])
+    def test_an_operand_with_trailing_input_is_a_syntax_error(self, text, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_concept(text, P)
+        assert (err.value.line, err.value.column, err.value.message) == (1, column, message)
+
+    def test_a_kb_concept_with_trailing_input_ends_the_statement(self):
+        with pytest.raises(ParseError) as err:
+            parse_kb(f"prefix : <{EX}>\n:A SubClassOf not :B :C and :D\n")
+        assert (err.value.line, err.value.column) == (2, 22)
+        assert err.value.message == "expected end of statement, found ':C'"
 
     @pytest.mark.parametrize("text", BROKEN)
     def test_position_points_inside_the_input(self, text):
