@@ -16,11 +16,13 @@ one main expression::
 
 Types are back-quoted concept expressions, ``List[T]``, tuples
 ``(T, ...)`` and ``Bool``.  Queries are string literals in the query
-surface syntax; ``$name`` splices refer to in-scope variables.  Scope
-errors (unbound variables, unknown definitions, splices with no matching
-variable) are reported at parse time, as are syntax errors inside
-embedded queries and back-quoted concepts, with positions in the
-enclosing file.
+surface syntax; ``$name`` splices refer to in-scope variables.  Scope is
+checked as the program is read: an unbound variable or a splice with no
+matching variable is an error where it is read, and each call is checked
+against the definitions once the whole file is read, so a call may come
+before the definition it names.  Syntax errors inside embedded queries
+and back-quoted concepts are reported with positions in the enclosing
+file.
 
 Programs are tokenised by :func:`dlq.lexing.fragment` with this module's
 token regex: newlines are blanks, and a string or back-quoted expression
@@ -93,6 +95,9 @@ class _ProgramParser:
     def __init__(self, text: str) -> None:
         self.ts = fragment(text, pattern=_LEX)
         self.prefixes: dict[str, str] = {}
+        # The names bound where the parser stands, and every call read so far.
+        self.scope: set[str] = set()
+        self.calls: list[tuple[str, Pos]] = []
 
     # -- helpers ----------------------------------------------------------
 
@@ -146,15 +151,17 @@ class _ProgramParser:
                     raise ParseError(*self._pos(), "duplicate main")
                 ts.next()
                 ts.take_punct("=")
+                self.scope = set()
                 main = self.expr()
             else:
                 raise ts.error("expected 'prefix', 'def' or 'main'")
         if main is None:
             tok = ts.peek()
             raise ParseError(tok.line, tok.column, "program has no main")
-        program = Program(self.prefixes, definitions, main)
-        _Resolver(program).run()
-        return program
+        for name, pos in self.calls:
+            if name not in definitions:
+                raise ParseError(*pos, f"unknown definition {name!r}")
+        return Program(self.prefixes, definitions, main)
 
     def _prefix_decl(self) -> None:
         ts = self.ts
@@ -184,12 +191,14 @@ class _ProgramParser:
         name = self._ident("a definition name")
         ts.take_punct("(")
         params: list[tuple[str, LangType]] = []
+        self.scope = set()
         if not ts.at_punct(")"):
             while True:
                 ppos = self._pos()
                 pname = self._ident("a parameter name")
-                if any(p == pname for p, _ in params):
+                if pname in self.scope:
                     raise ParseError(*ppos, f"duplicate parameter {pname!r}")
+                self.scope.add(pname)
                 # consume ':' which lexes as a bare PNAME token
                 self._colon()
                 params.append((pname, self._type()))
@@ -258,11 +267,19 @@ class _ProgramParser:
             ts.take_punct("=")
             value = self.expr()
             ts.take_word("in")
-            body = self.expr()
-            return Let(name, value, body).at(pos)
+            return Let(name, value, self._bound(name)).at(pos)
         if word == "match":
             return self._match()
         return self._postfix()
+
+    def _bound(self, name: str) -> Term:
+        """An expression read with ``name`` in scope; the scope after it is
+        the one before."""
+        outer = self.scope
+        self.scope = outer | {name}
+        body = self.expr()
+        self.scope = outer
+        return body
 
     def _match(self) -> Term:
         ts = self.ts
@@ -288,7 +305,7 @@ class _ProgramParser:
             if ts.peek().kind != "ARROW":
                 raise ts.error("expected '=>'")
             ts.next()
-            cases.append(MatchCase(binder, concept, self.expr()))
+            cases.append(MatchCase(binder, concept, self._bound(binder)))
         ts.take_punct("}")
         return Match(subject, tuple(cases), default).at(pos)
 
@@ -335,6 +352,9 @@ class _ProgramParser:
             ts.next()
             body = tok.text[1:-1]
             sq = parse_query(body, self.prefixes, tok.line, tok.column + 1)
+            for splice in sq.splices:
+                if splice not in self.scope:
+                    raise ParseError(*pos, f"splice ${splice} names no variable in scope")
             return QueryTerm(sq, strict=(word == "strictquery")).at(pos)
         if word == "nonEmpty" or word == "head":
             ts.next()
@@ -352,6 +372,7 @@ class _ProgramParser:
         if word is not None and word not in KEYWORDS and word != "_":
             name = self._ident("an expression")
             if ts.at_punct("("):
+                self.calls.append((name, pos))
                 ts.next()
                 args: list[Term] = []
                 if not ts.at_punct(")"):
@@ -363,6 +384,8 @@ class _ProgramParser:
                         break
                 ts.take_punct(")")
                 return Call(name, tuple(args)).at(pos)
+            if name not in self.scope:
+                raise ParseError(*pos, f"unbound variable {name!r}")
             return Ref(name).at(pos)
         if ts.at_punct("("):
             ts.next()
@@ -372,53 +395,7 @@ class _ProgramParser:
         raise ts.error("expected an expression")
 
 
-class _Resolver:
-    """Scope check: every reference, call target and splice must be bound."""
-
-    def __init__(self, program: Program) -> None:
-        self.program = program
-
-    def run(self) -> None:
-        for d in self.program.definitions.values():
-            self.term(d.body, {name for name, _ in d.params})
-        self.term(self.program.main, set())
-
-    def term(self, t: Term, scope: set[str]) -> None:
-        if isinstance(t, Ref):
-            if t.name not in scope:
-                raise ParseError(*t.pos, f"unbound variable {t.name!r}")
-        elif isinstance(t, Call):
-            if t.name not in self.program.definitions:
-                raise ParseError(*t.pos, f"unknown definition {t.name!r}")
-            for a in t.args:
-                self.term(a, scope)
-        elif isinstance(t, QueryTerm):
-            for splice in t.query.splices:
-                if splice not in scope:
-                    raise ParseError(*t.pos,
-                                     f"splice ${splice} names no variable in scope")
-        elif isinstance(t, RoleProj):
-            self.term(t.subject, scope)
-        elif isinstance(t, Match):
-            self.term(t.subject, scope)
-            for case in t.cases:
-                self.term(case.body, scope | {case.binder})
-            self.term(t.default, scope)
-        elif isinstance(t, If):
-            self.term(t.cond, scope)
-            self.term(t.then, scope)
-            self.term(t.orelse, scope)
-        elif isinstance(t, Let):
-            self.term(t.value, scope)
-            self.term(t.body, scope | {t.name})
-        elif isinstance(t, TupleIndex):
-            self.term(t.subject, scope)
-        elif isinstance(t, (NonEmpty, Head)):
-            self.term(t.arg, scope)
-        # IriLit and Nil bind nothing and refer to nothing.
-
-
 def parse_program(text: str) -> Program:
-    """Parse and scope-check a program file."""
+    """Parse a program file, checking scope as it is read."""
     parser = _ProgramParser(text)
     return parser.ts.within_stack(parser.parse, "program")

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from dlq.cli import main
-from dlq.kbtext import parse_kb, shorten
+from dlq.kbtext import ParseError, parse_kb, shorten
 from dlq.lang import ListVal, evaluate, parse_program
 from dlq.model import signature
 from dlq.reasoner import Reasoner
@@ -547,12 +547,24 @@ class TestErrorCorpus:
         pytest.param("e_syntax.dlq", "check", 2, "ERROR E-SYNTAX 5:40\n"
                      "expected '}', found end of input\n",
                      id="e_syntax.dlq-check-2-E-SYNTAX"),
+        pytest.param("e_scope.dlq", "check", 2, "ERROR E-SYNTAX 5:3\n"
+                     "splice $org names no variable in scope\n",
+                     id="e_scope.dlq-check-2-E-SYNTAX"),
     ]
 
     @pytest.mark.parametrize("name,action,expected_code,stderr", CASES)
     def test_static_failures(self, capsys, name, action, expected_code, stderr):
         path = str(FIXTURES / "errors" / name)
         assert run(capsys, "lang", action, path, "--kb", KB) == (expected_code, "", stderr)
+
+    @pytest.mark.parametrize("kb", [KB, KB_EXT])
+    @pytest.mark.parametrize("name", ["e_syntax.dlq", "e_scope.dlq"])
+    def test_a_program_that_does_not_parse_is_refused_on_either_kb(self, capsys, kb, name):
+        path = FIXTURES / "errors" / name
+        _, _, code, stderr = next(c.values for c in self.CASES if c.values[0] == name)
+        assert run(capsys, "lang", "check", str(path), "--kb", kb) == (code, "", stderr)
+        with pytest.raises(ParseError):
+            parse_program(path.read_text())
 
     def test_empty_result_runs_clean(self, capsys):
         path = str(FIXTURES / "errors" / "e_empty.dlq")

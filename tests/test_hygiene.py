@@ -1,6 +1,8 @@
 """Source hygiene of the ``dlq`` package, checked with the standard
-library's ``ast``: no module imports a name it never uses, and no private
-function, method or class goes unused.
+library's ``ast``: no module imports a name it never uses, no private
+function, method or class goes unused, and every kind of program term has
+a branch in both per-term ladders, the type checker's and the
+interpreter's.
 
 An unused import still runs at start-up, so it costs every one-shot
 ``dlq`` process.  A name counts as used when the module reads it, lists it
@@ -127,3 +129,52 @@ def test_every_private_helper_is_used_somewhere_in_the_package():
 ])
 def test_the_check_sees_a_private_helper_nothing_reads(sources, expected):
     assert dead_private_helpers(sources) == expected
+
+
+def term_classes(source: str) -> set[str]:
+    """The classes that subclass ``Term`` in ``source``."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(b, ast.Name) and b.id == "Term" for b in node.bases)}
+
+
+def term_branches(source: str, cls: str, method: str) -> set[str]:
+    """The classes that ``cls.method`` branches on with ``isinstance(t, …)``,
+    ``t`` being the method's term parameter."""
+    klass = next(node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.ClassDef) and node.name == cls)
+    func = next(node for node in klass.body
+                if isinstance(node, ast.FunctionDef) and node.name == method)
+    term = func.args.args[1].arg
+    named: set[str] = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Call) \
+                and isinstance(node.test.func, ast.Name) \
+                and node.test.func.id == "isinstance" \
+                and isinstance(node.test.args[0], ast.Name) \
+                and node.test.args[0].id == term:
+            kinds = node.test.args[1]
+            named |= {e.id for e in getattr(kinds, "elts", [kinds])
+                      if isinstance(e, ast.Name)}
+    return named
+
+
+@pytest.mark.parametrize("module, cls, method", [
+    ("typecheck.py", "_Checker", "_infer"),
+    ("interp.py", "_Interp", "eval"),
+])
+def test_every_term_kind_has_a_branch_in_each_per_term_ladder(module, cls, method):
+    lang = SRC / "lang"
+    kinds = term_classes((lang / "syntax.py").read_text(encoding="utf-8"))
+    assert kinds
+    assert kinds - term_branches((lang / module).read_text(encoding="utf-8"),
+                                 cls, method) == set()
+
+
+def test_the_ladder_check_sees_a_missing_branch():
+    syntax = "class Term:\n    pass\nclass A(Term):\n    pass\nclass B(Term):\n    pass\n"
+    ladder = ("class C:\n    def f(self, t, env):\n"
+              "        if isinstance(t, A):\n            return 1\n"
+              "        if isinstance(env, B):\n            return 2\n")
+    assert term_classes(syntax) == {"A", "B"}
+    assert term_branches(ladder, "C", "f") == {"A"}

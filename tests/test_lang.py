@@ -52,20 +52,49 @@ class TestParseProgram:
                     "main = f()")
         assert err.value.line == 2
 
-    def test_unbound_variable_rejected(self):
+    @staticmethod
+    def scope_fault(source: str) -> tuple[int, int, str]:
         with pytest.raises(ParseError) as err:
-            program("main = nope")
-        assert "unbound" in err.value.message
+            program(source)
+        return err.value.line, err.value.column, err.value.message
+
+    def test_unbound_variable_rejected(self):
+        assert self.scope_fault("main = nope") == (2, 8, "unbound variable 'nope'")
 
     def test_unknown_definition_rejected(self):
-        with pytest.raises(ParseError):
-            program("main = missing(iri(:alice))")
+        assert self.scope_fault("main = missing(iri(:alice))") == (
+            2, 8, "unknown definition 'missing'")
 
     def test_splice_must_name_a_scope_variable(self):
-        with pytest.raises(ParseError) as err:
-            program('def f(): List[`:Person`] = query "SELECT ?x WHERE { ?x :worksFor $org }"\n'
-                    "main = f()")
-        assert "$org" in err.value.message
+        assert self.scope_fault(
+            'def f(): List[`:Person`] = query "SELECT ?x WHERE { ?x :worksFor $org }"\n'
+            "main = f()") == (2, 28, "splice $org names no variable in scope")
+
+    def test_main_may_call_definitions_written_after_it(self):
+        p = program("main = f(iri(:alice))\n"
+                    "def f(p: `:Person`): `:Person` = g(p)\n"
+                    "def g(p: `:Person`): `:Person` = f(p)")
+        assert list(p.definitions) == ["f", "g"]
+
+    def test_a_let_name_is_not_in_scope_in_its_own_value(self):
+        assert self.scope_fault(
+            "def f(p: `:Person`): `:Person` = let x = x in p\n"
+            "main = f(iri(:alice))") == (2, 42, "unbound variable 'x'")
+
+    def test_a_match_binder_is_not_in_scope_in_the_default(self):
+        assert self.scope_fault(
+            "def f(p: `:Person`): `:Person` =\n"
+            "  match p { case q: `:Chair` => q case _ => q }\n"
+            "main = f(iri(:alice))") == (3, 45, "unbound variable 'q'")
+
+    def test_a_let_that_shadows_a_parameter_restores_it_after_its_body(self):
+        pair = "def g(a: `:Person`, b: `:Person`): `:Person` = b\n"
+        p = program(pair + "def f(p: `:Person`): `:Person` = g(let p = iri(:bob) in p, p)\n"
+                    "main = f(iri(:alice))")
+        assert [type(a).__name__ for a in p.definitions["f"].body.args] == ["Let", "Ref"]
+        assert self.scope_fault(
+            pair + "def f(p: `:Person`): `:Person` = g(let q = p in q, q)\n"
+            "main = f(iri(:alice))") == (3, 52, "unbound variable 'q'")
 
     def test_match_binders_are_scoped(self):
         p = program(
