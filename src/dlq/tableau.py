@@ -72,6 +72,20 @@ recursion limit), first choice first, copying the graph for a side only
 when it is tried.  Labels and edge role sets keep insertion order, so runs
 are reproducible whatever the hash seed.
 
+A tableau closes its A-Box graph once, on its first run: a root per named
+object, closed under the concept assertions, the internalised concepts
+and the role assertions.  A run that asserts no concept of a named object
+(the consistency run, satisfiability and subsumption probes) starts from
+a copy of that graph.  It adds, as a rebuild would, a root for each
+object only its concept names, then the fresh root holding the concept,
+so node ids and label orders are those of a rebuild.  The shared graph
+itself is never expanded.  The added roots' ∃s join the agenda after
+those the role assertions added, but the ∃ rule reads the agenda node by
+node, so the run is unchanged.  An instance run asserts its concept of a
+named object before anything else, so that a refutation clashing on it
+stops before the rest of the A-Box closes the graph; it builds its own
+graph in that order.
+
 From a clash-free completed graph a finite model is read off directly:
 blocked nodes are dropped and edges into them are redirected to their
 blockers, which the pairwise blocking condition makes safe.
@@ -108,7 +122,8 @@ from .model import (
 )
 
 class _Graph:
-    """Mutable completion graph; copied at disjunction choice points.
+    """Mutable completion graph; copied from the tableau's closed A-Box
+    graph to start a run, and at disjunction choice points.
 
     Labels are insertion-ordered concept sets (dicts with None values), and
     so are edges: ``edges[a][b]`` holds every role, inverse roles included,
@@ -350,22 +365,22 @@ class Tableau:
             edge for a in self.kb.abox if isinstance(a, RoleAssertion)
             for edge in ((a.subject, a.role, a.obj), (a.obj, a.role.inverted(), a.subject)))
 
-    def _initial_graph(self, concept: Optional[Concept], obj: Optional[Iri]) -> _Graph:
+    @cached_property
+    def _abox_graph(self) -> _Graph:
+        """A node per named object, closed under the concept assertions,
+        the internalised concepts and the role assertions; built on first
+        use, so set-up does not pay for it.  Runs copy it, never change it."""
+        return self._closed_abox(self.named)
+
+    def _closed_abox(self, objects: Iterable[Iri],
+                     first: Optional[tuple[Iri, Concept]] = None) -> _Graph:
+        """A root per object in ``objects``, in order; then ``first``'s
+        concept asserted of its object, the concept assertions, the
+        internalised concepts on every root and the role assertions."""
         graph = _Graph(self.unfolding, self._neg)
-        named = list(self.named)
-        if obj is not None and obj not in named:
-            named.append(obj)
-        # An object a nominal names denotes something even when the KB
-        # never mentions it, so it gets a node of its own.
-        if concept is not None:
-            mentioned = concept_signature(concept).objects.difference(named)
-            named += sorted(mentioned, key=lambda i: i.value)
-        # Concepts before edges, and the asserted concept first: a
-        # refutation that clashes on it then stops before the internalised
-        # concepts and the role assertions close the graph.
-        node_of = {o: graph.new_node(None, (Nominal(o),)) for o in named}
-        if obj is not None and concept is not None:
-            graph.add(node_of[obj], nnf(concept))
+        node_of = {o: graph.new_node(None, (Nominal(o),)) for o in objects}
+        if first is not None:
+            graph.add(node_of[first[0]], first[1])
         for assertion in self.kb.abox:
             if isinstance(assertion, ConceptAssertion):
                 graph.add(node_of[assertion.obj], nnf(assertion.concept))
@@ -376,9 +391,27 @@ class Tableau:
             if isinstance(assertion, RoleAssertion):
                 graph.add_edge(node_of[assertion.subject], node_of[assertion.obj],
                                assertion.role)
-        if obj is None and concept is not None:
+        return graph
+
+    def _initial_graph(self, concept: Optional[Concept], obj: Optional[Iri]) -> _Graph:
+        named = list(self.named)
+        if obj is not None and obj not in named:
+            named.append(obj)
+        # An object a nominal names denotes something even when the KB
+        # never mentions it, so it gets a node of its own.
+        mentioned = sorted(concept_signature(concept).objects.difference(named),
+                           key=lambda i: i.value) if concept is not None else []
+        if obj is not None:
+            # The asserted concept first: a refutation that clashes on it
+            # then stops before the rest of the A-Box closes the graph.
+            return self._closed_abox(named + mentioned,
+                                     None if concept is None else (obj, nnf(concept)))
+        graph = self._abox_graph.copy()
+        for o in mentioned:
+            graph.new_node(None, (Nominal(o),) + self.internalized)
+        if concept is not None:
             graph.new_node(None, (nnf(concept),) + self.internalized)
-        if not graph.labels:
+        elif not graph.labels:
             graph.new_node(None, self.internalized)
         return graph
 

@@ -67,6 +67,58 @@ class TestReason:
         assert json.loads(out) == {"result": True,
                                    "model": json.loads(text.partition("\n")[2])}
 
+    # ``--show-model`` output, byte for byte: node ids, element order and
+    # the objects a probe names are part of what a witness prints.
+    WITNESSES = {
+        (KB, ":Employee and :worksFor some :ResearchGroup"): (
+            '{"domain": [0, 1, 2, 3, 4, 5, 6], "concepts": {":Chair": [0], '
+            '":Department": [4], ":Employee": [0, 1, 3], ":Organization": [2, 4, 5, 6], '
+            '":Person": [0, 1, 3], ":Professor": [0], ":ResearchGroup": [2, 6]}, '
+            '"roles": {":headOf": [[0, 4]], ":worksFor": [[0, 5], [1, 2], [3, 6]]}, '
+            '"objects": {":alice": 0, ":bob": 1, ":softlang": 2}}'),
+        (KB, "{:zed}"): (
+            '{"domain": [0, 1, 2, 3, 5, 6], "concepts": {":Chair": [0], '
+            '":Department": [5], ":Employee": [0, 1], ":Organization": [2, 5, 6], '
+            '":Person": [0, 1], ":Professor": [0], ":ResearchGroup": [2]}, '
+            '"roles": {":headOf": [[0, 5]], ":worksFor": [[0, 6], [1, 2]]}, '
+            '"objects": {":alice": 0, ":bob": 1, ":softlang": 2, ":zed": 3}}'),
+        (KB, "{:alice} and :Person"): (
+            '{"domain": [0, 1, 2, 4, 5], "concepts": {":Chair": [0], '
+            '":Department": [4], ":Employee": [0, 1], ":Organization": [2, 4, 5], '
+            '":Person": [0, 1], ":Professor": [0], ":ResearchGroup": [2]}, '
+            '"roles": {":headOf": [[0, 4]], ":worksFor": [[0, 5], [1, 2]]}, '
+            '"objects": {":alice": 0, ":bob": 1, ":softlang": 2}}'),
+        (KB_EXT, ":Employee and :worksFor some :ResearchGroup"): (
+            '{"domain": [0, 1, 2, 3, 4, 5, 6, 7], "concepts": {":Chair": [0], '
+            '":Department": [2], ":Employee": [0, 1, 5], '
+            '":Organization": [2, 3, 4, 6, 7], ":Person": [0, 1, 5], '
+            '":Professor": [0], ":ResearchGroup": [3, 4, 7]}, '
+            '"roles": {":headOf": [[0, 2]], ":subOrganizationOf": [[3, 2]], '
+            '":worksFor": [[0, 6], [1, 4], [5, 7]]}, "objects": {":alice": 0, '
+            '":bob": 1, ":csdept": 2, ":rg1": 3, ":softlang": 4}}'),
+        (KB_EXT, "{:zed}"): (
+            '{"domain": [0, 1, 2, 3, 4, 5, 7], "concepts": {":Chair": [0], '
+            '":Department": [2], ":Employee": [0, 1], ":Organization": [2, 3, 4, 7], '
+            '":Person": [0, 1], ":Professor": [0], ":ResearchGroup": [3, 4]}, '
+            '"roles": {":headOf": [[0, 2]], ":subOrganizationOf": [[3, 2]], '
+            '":worksFor": [[0, 7], [1, 4]]}, "objects": {":alice": 0, ":bob": 1, '
+            '":csdept": 2, ":rg1": 3, ":softlang": 4, ":zed": 5}}'),
+        (KB_EXT, "{:alice} and :Person"): (
+            '{"domain": [0, 1, 2, 3, 4, 6], "concepts": {":Chair": [0], '
+            '":Department": [2], ":Employee": [0, 1], ":Organization": [2, 3, 4, 6], '
+            '":Person": [0, 1], ":Professor": [0], ":ResearchGroup": [3, 4]}, '
+            '"roles": {":headOf": [[0, 2]], ":subOrganizationOf": [[3, 2]], '
+            '":worksFor": [[0, 6], [1, 4]]}, "objects": {":alice": 0, ":bob": 1, '
+            '":csdept": 2, ":rg1": 3, ":softlang": 4}}'),
+    }
+
+    @pytest.mark.parametrize("kb, concept", list(WITNESSES))
+    def test_show_model_prints_the_same_witness(self, capsys, kb, concept):
+        code, out, err = run(capsys, "reason", "sat", concept, "--kb", kb, "--show-model")
+        model = json.loads(self.WITNESSES[kb, concept])
+        assert (code, err) == (0, "")
+        assert out == "true\n" + json.dumps(model, indent=2) + "\n"
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "reason", "sub", ":Chair", ":Person",
                            "--kb", KB, "--output", "json")

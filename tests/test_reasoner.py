@@ -17,6 +17,7 @@ from dlq.model import (
     And,
     Atomic,
     BOTTOM,
+    Concept,
     ConceptAssertion,
     Exists,
     Forall,
@@ -125,10 +126,14 @@ class TestSatisfiability:
         atoms = [Atomic(iri(f"A{i}")) for i in range(10)]
         # One ten-way choice point: the sides A0 to A4 clash once tried and
         # A5 holds, so six sides are tried and A6 to A9 never copied.
+        # The run itself starts from one copy, of the closed A-Box graph.
         kb = KnowledgeBase(tbox=tuple(SubClass(a, BOTTOM) for a in atoms[:5]))
-        graph = Tableau(kb).run(Or(tuple(atoms)))
+        tableau = Tableau(kb)
+        graph = tableau.run(Or(tuple(atoms)))
         assert graph is not None and atoms[5] in graph.labels[0]
-        assert len(copies) == 6
+        start = [g for g in copies if g is tableau._abox_graph]
+        assert len(start) == 1
+        assert len(copies) - len(start) == 6
 
 
 class TestSubsumption:
@@ -326,6 +331,62 @@ class TestExistsRecheck:
         g = self._run(lambda g, middle: g.add(middle, Nominal(iri("w"))))
         assert len(g.labels) == 5   # :o, :q, :w, the first child, :o's successor
 
+
+class TestSharedAboxGraph:
+    """Runs without an object start from a copy of one closed A-Box graph
+    per tableau; none of them may change it."""
+
+    ATOMS = [Atomic(iri(n)) for n in "ABC"]
+    ROLES = [Role(iri("r")), Role(iri("s"))]
+
+    @staticmethod
+    def _snapshot(g: _Graph) -> tuple:
+        return ([(n, list(label)) for n, label in g.labels.items()],
+                [(n, [(m, list(roles)) for m, roles in adj.items()])
+                 for n, adj in g.edges.items()],
+                list(g.parent.items()), list(g.agenda), g.clashed, g.next_id)
+
+    @staticmethod
+    def _refuting(assertion) -> Concept:
+        """A probe that clashes with ``assertion`` once merged into its node."""
+        if isinstance(assertion, ConceptAssertion):
+            return And((Nominal(assertion.obj), Not(assertion.concept)))
+        return And((Nominal(assertion.subject),
+                    Not(Exists(assertion.role, Nominal(assertion.obj)))))
+
+    def test_runs_leave_the_shared_graph_as_built(self):
+        rng = random.Random(47)
+        merged = 0
+        for _ in range(60):
+            kb = random_kb(rng)
+            tableau = Tableau(kb)
+            shared = tableau._abox_graph
+            before = self._snapshot(shared)
+            named = rng.choice(tableau.named)
+            probes = [
+                None,   # the consistency run
+                _random_simple_concept(rng, self.ATOMS, self.ROLES, 2),
+                And((Nominal(named),
+                     _random_simple_concept(rng, self.ATOMS, self.ROLES, 1))),
+                And((Nominal(iri("zed")), rng.choice(self.ATOMS))),
+                self._refuting(kb.abox[0]),
+            ]
+            for probe in probes:
+                graph = tableau.run(probe)
+                assert graph is not shared
+                assert self._snapshot(shared) == before
+                if probe is probes[-1]:
+                    assert graph is None
+                if graph is None:
+                    continue
+                model = tableau.model_of(graph)
+                assert verify_model(model, kb)
+                if probe is not None:
+                    assert extension(probe, model)
+                    # The probe's root merges into the named object's node.
+                    merged += probe is probes[2] and len(graph.labels) < graph.next_id
+            assert tableau._abox_graph is shared
+        assert merged > 20
 
 class TestVerifyModel:
     def test_abox_only_model(self, university_kb, uobj, uc):

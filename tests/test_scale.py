@@ -6,7 +6,8 @@ branch on every T-Box inclusion at every node, which put this size at
 minutes; with the T-Box absorbed it takes seconds.  The consistency run
 must not rebuild the blocking map once per ∃ round either, and the role
 pattern must read its candidates off the session model's edges rather
-than compute one extension per object.
+than compute one extension per object.  A satisfiability run after the
+first copies the closed A-Box graph rather than build a node per object.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import dlq.reasoner
 from dlq.algebra import eval_algebraic, project
 from dlq.cli import main as cli_main
 from dlq.kbtext import parse_kb
+from dlq.model import Nominal
 from dlq.query import parse_query
 from dlq.reasoner import Reasoner
 from dlq.tableau import Tableau, _Graph
@@ -82,6 +84,27 @@ def test_consistency_run_computes_blocking_at_most_once_per_anonymous_node(monke
     monkeypatch.setattr(_Graph, "new_node", counted_new_node)
     assert Tableau(_worked_example_kb()).run() is not None
     assert calls["blocking"] <= calls["anonymous"]
+
+
+def test_a_second_satisfiability_run_builds_no_named_node(monkeypatch, uc):
+    # The first run closes the A-Box graph; later runs copy it and add only
+    # the probe's root.
+    roots = []
+    new_node = _Graph.new_node
+
+    def counted_new_node(self, parent, label):
+        if parent is None:
+            roots.append(tuple(label))
+        return new_node(self, parent, label)
+
+    monkeypatch.setattr(_Graph, "new_node", counted_new_node)
+    tableau = Tableau(_worked_example_kb())
+    assert tableau.run(uc(":Person")) is not None
+    assert len(roots) == OBJECTS + 1
+    roots.clear()
+    assert tableau.run(uc(":Employee and :worksFor some :ResearchGroup")) is not None
+    assert len(roots) == 1
+    assert not any(isinstance(c, Nominal) for c in roots[0])
 
 
 class TestFlatInput:
